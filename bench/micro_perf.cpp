@@ -183,6 +183,32 @@ void BM_QrsmPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_QrsmPredict);
 
+void BM_QrsmObserveWindow(benchmark::State& state) {
+  // Steady state of the online loop: the default 4096-row window is full,
+  // so every observation adds one row and evicts another, and every 32nd
+  // refits. Per-observation cost must not depend on the window length.
+  cbs::sim::RngStream rng(7);
+  cbs::workload::GroundTruthModel truth({}, rng.substream("t"));
+  cbs::workload::WorkloadGenerator gen({}, truth, rng.substream("g"));
+  std::vector<cbs::workload::DocumentFeatures> feats;
+  std::vector<double> y;
+  for (std::size_t i = 0; i < 8192; ++i) {
+    auto doc = gen.next();
+    feats.push_back(doc.features);
+    y.push_back(truth.expected_seconds(doc.features));
+  }
+  cbs::models::QrsmModel model;
+  for (std::size_t i = 0; i < 4096; ++i) model.observe(feats[i], y[i]);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    model.observe(feats[i], y[i]);
+    i = (i + 1) % feats.size();
+  }
+  benchmark::DoNotOptimize(model.is_fitted());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QrsmObserveWindow);
+
 void BM_OoMetricSeries(benchmark::State& state) {
   // Synthetic outcomes: n jobs completing in shuffled order.
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -198,7 +224,7 @@ void BM_OoMetricSeries(benchmark::State& state) {
     benchmark::DoNotOptimize(oo.series(120.0, 4));
   }
 }
-BENCHMARK(BM_OoMetricSeries)->Arg(100)->Arg(1000);
+BENCHMARK(BM_OoMetricSeries)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_LinkAllocationStorm(benchmark::State& state) {
   // Water-filling reallocation cost under many concurrent transfers.
@@ -389,9 +415,12 @@ void BM_LookaheadDecision(benchmark::State& state) {
 BENCHMARK(BM_LookaheadDecision)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelPlan(benchmark::State& state) {
-  // Scaling of the parallel experiment runner: a 6-cell plan (3 seeds x
-  // 2 schedulers) at 1/2/4 worker threads. Near-linear scaling up to the
-  // core count demonstrates the per-run reentrancy contract costs nothing.
+  // The parallel experiment runner on a 6-cell plan (3 seeds x 2
+  // schedulers) at 1/2/4 worker threads, timed in wall-clock time (the
+  // main thread only waits, so its CPU time says nothing). Six cells
+  // cannot balance evenly over 4 threads, and the speedup is bounded by
+  // the host's free cores, so this shows the runner's overhead and that
+  // threads help — not linear scaling.
   auto base = cbs::harness::make_scenario(
       cbs::core::SchedulerKind::kOrderPreserving,
       cbs::workload::SizeBucket::kUniform, 42);
@@ -410,7 +439,12 @@ void BM_ParallelPlan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(plan.cell_count()));
 }
-BENCHMARK(BM_ParallelPlan)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParallelPlan)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -61,11 +61,16 @@ std::optional<SizeIntervalBounds> compute_size_interval_bounds(
   // partition boundaries become the small/medium upper bounds. Both bounds
   // are order statistics of L, so nth_element selection yields values
   // identical to the former full sort at O(|L|) instead of O(|L| log |L|).
+  // Each share is clamped to [0, |L|]: a backlog reported below zero
+  // pushes one left-over share above 1 (and another below 0), and an
+  // unclamped count would index past L.
   const auto count = static_cast<double>(eligible_sizes.size());
-  const auto small_count = static_cast<std::size_t>(
-      std::floor(count * leftover[0] / leftover_sum));
-  const auto medium_count = static_cast<std::size_t>(
-      std::floor(count * leftover[1] / leftover_sum));
+  auto share_count = [&](double left) {
+    return static_cast<std::size_t>(
+        std::clamp(std::floor(count * left / leftover_sum), 0.0, count));
+  };
+  const std::size_t small_count = share_count(leftover[0]);
+  const std::size_t medium_count = share_count(leftover[1]);
 
   // small bound: sorted[small_count-1], or the minimum when the small share
   // rounds to zero — both are the k_small-th order statistic.

@@ -157,8 +157,8 @@ SimTime BeliefState::slack(SimTime now) const {
   // is O(1) heap maintenance.
   while (!ec_finish_heap_.empty()) {
     const auto& [finish, seq] = ec_finish_heap_.front();
-    const auto it = ec_jobs_.find(seq);
-    if (it != ec_jobs_.end() && it->second.est_finish == finish) {
+    const EcJob* job = ec_jobs_.find(seq);
+    if (job != nullptr && job->est_finish == finish) {
       cushion = std::max(cushion, finish);
       break;
     }
@@ -173,15 +173,15 @@ SimTime BeliefState::slack_bruteforce(SimTime now) const {
   if (!ic_jobs_.empty()) {
     cushion = std::max(cushion, ic_drain_time(now));
   }
-  for (const auto& [seq, job] : ec_jobs_) {
+  ec_jobs_.for_each([&cushion](std::uint64_t, const EcJob& job) {
     cushion = std::max(cushion, job.est_finish);
-  }
+  });
   return cushion;
 }
 
 void BeliefState::commit_ic(std::uint64_t seq, double estimated_service) {
   assert(estimated_service >= 0.0);
-  const bool inserted = ic_jobs_.emplace(seq, estimated_service).second;
+  const bool inserted = ic_jobs_.emplace(seq, estimated_service);
   assert(inserted && "seq committed to IC twice");
   (void)inserted;
   ic_outstanding_seconds_ += estimated_service;
@@ -191,7 +191,7 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
                             const EcEstimate& estimate) {
   const double proc_standard = estimate_service(doc);
   const bool inserted =
-      ec_jobs_.emplace(seq, EcJob{estimate.finish, proc_standard}).second;
+      ec_jobs_.emplace(seq, EcJob{estimate.finish, proc_standard});
   assert(inserted && "seq committed to EC twice");
   (void)inserted;
   // Stale records (from completions/retractions) accumulate until they
@@ -199,9 +199,9 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
   // churn-heavy runs stay bounded.
   if (ec_finish_heap_.size() > 2 * ec_jobs_.size() + 64) {
     ec_finish_heap_.clear();
-    for (const auto& [live_seq, job] : ec_jobs_) {
+    ec_jobs_.for_each([this](std::uint64_t live_seq, const EcJob& job) {
       ec_finish_heap_.emplace_back(job.est_finish, live_seq);
-    }
+    });
     std::make_heap(ec_finish_heap_.begin(), ec_finish_heap_.end());
   }
   ec_finish_heap_.emplace_back(estimate.finish, seq);
@@ -211,18 +211,19 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
 }
 
 void BeliefState::on_ic_complete(std::uint64_t seq) {
-  auto it = ic_jobs_.find(seq);
-  assert(it != ic_jobs_.end());
-  ic_outstanding_seconds_ = std::max(0.0, ic_outstanding_seconds_ - it->second);
-  ic_jobs_.erase(it);
+  const double* estimated_service = ic_jobs_.find(seq);
+  assert(estimated_service != nullptr);
+  ic_outstanding_seconds_ =
+      std::max(0.0, ic_outstanding_seconds_ - *estimated_service);
+  ic_jobs_.erase(seq);
 }
 
 void BeliefState::on_ec_complete(std::uint64_t seq) {
-  auto it = ec_jobs_.find(seq);
-  assert(it != ec_jobs_.end());
+  const EcJob* job = ec_jobs_.find(seq);
+  assert(job != nullptr);
   ec_outstanding_seconds_ =
-      std::max(0.0, ec_outstanding_seconds_ - it->second.processing_seconds);
-  ec_jobs_.erase(it);
+      std::max(0.0, ec_outstanding_seconds_ - job->processing_seconds);
+  ec_jobs_.erase(seq);
 }
 
 void BeliefState::on_upload_complete(double bytes) {

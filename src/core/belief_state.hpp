@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "models/estimator.hpp"
-#include "util/flat_map.hpp"
+#include "util/seq_ring.hpp"
 #include "net/bandwidth_estimator.hpp"
 #include "simcore/time.hpp"
 #include "workload/document.hpp"
@@ -186,8 +186,9 @@ class BeliefState {
   double ec_job_rate_;  ///< speed × job parallelism on the EC
   double ec_job_overhead_;  ///< fixed wall-clock overhead per EC job
 
-  // Outstanding IC jobs: seq -> estimated standard seconds.
-  cbs::util::FlatMap<std::uint64_t, double> ic_jobs_;
+  // Outstanding IC jobs: seq -> estimated standard seconds. Seq-indexed
+  // rings: completing the oldest job is O(1), not a shift of the backlog.
+  cbs::util::SeqRing<double> ic_jobs_;
   double ic_outstanding_seconds_ = 0.0;
   // Outstanding EC jobs: seq -> (estimated absolute completion, estimated
   // EC processing seconds still ahead of the store).
@@ -195,7 +196,7 @@ class BeliefState {
     cbs::sim::SimTime est_finish = 0.0;
     double processing_seconds = 0.0;
   };
-  cbs::util::FlatMap<std::uint64_t, EcJob> ec_jobs_;
+  cbs::util::SeqRing<EcJob> ec_jobs_;
   /// Lazy-deletion max-heap over (est_finish, seq) of the believed EC jobs.
   /// Completions/retractions leave stale records; slack() pops them when
   /// they surface (an entry is live iff ec_jobs_[seq].est_finish matches),

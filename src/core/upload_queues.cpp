@@ -16,6 +16,7 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& sim,
   slots_.assign(static_cast<std::size_t>(num_classes),
                 std::vector<Slot>(static_cast<std::size_t>(slots_per_class)));
   active_bytes_per_class_.assign(static_cast<std::size_t>(num_classes), 0.0);
+  active_items_per_class_.assign(static_cast<std::size_t>(num_classes), 0);
   link_slot_ = link_.register_handler(
       [this](std::uint64_t tag, const cbs::net::TransferRecord& rec) {
         on_link_complete(tag, rec);
@@ -38,7 +39,8 @@ TransferQueueSet::TransferQueueSet(cbs::sim::Simulation& dst,
       slots_(src.slots_),
       active_(src.active_),
       active_count_(src.active_count_),
-      active_bytes_per_class_(src.active_bytes_per_class_) {
+      active_bytes_per_class_(src.active_bytes_per_class_),
+      active_items_per_class_(src.active_items_per_class_) {
   link_slot_ = link_.register_handler(
       [this](std::uint64_t tag, const cbs::net::TransferRecord& rec) {
         on_link_complete(tag, rec);
@@ -69,8 +71,12 @@ bool TransferQueueSet::try_cancel(std::uint64_t tag) {
 void TransferQueueSet::release_slot(const ActiveItem& active) {
   slots_[static_cast<std::size_t>(active.slot_klass)][active.slot].busy = false;
   --active_count_;
-  active_bytes_per_class_[static_cast<std::size_t>(active.item.klass)] -=
-      active.item.bytes;
+  const auto klass = static_cast<std::size_t>(active.item.klass);
+  if (--active_items_per_class_[klass] == 0) {
+    active_bytes_per_class_[klass] = 0.0;
+  } else {
+    active_bytes_per_class_[klass] -= active.item.bytes;
+  }
 }
 
 bool TransferQueueSet::try_cancel_active(std::uint64_t tag) {
@@ -107,6 +113,7 @@ void TransferQueueSet::pump() {
       class_slots[s].busy = true;
       ++active_count_;
       active_bytes_per_class_[static_cast<std::size_t>(item.klass)] += item.bytes;
+      ++active_items_per_class_[static_cast<std::size_t>(item.klass)];
 
       const int threads = tuner_.suggest(sim_.now());
       const std::uint64_t tag = item.tag;

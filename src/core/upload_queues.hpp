@@ -113,7 +113,11 @@ class TransferQueueSet {
   // lookup; tags are monotonic so inserts are O(1) amortized appends.
   cbs::util::FlatMap<std::uint64_t, ActiveItem> active_;
   std::size_t active_count_ = 0;
+  // Bytes of the active transfers of each item class. A running sum, so
+  // it is reset to exactly 0 when the class's last transfer leaves:
+  // otherwise rounding leaves a residue that can go below zero.
   std::vector<double> active_bytes_per_class_;
+  std::vector<std::size_t> active_items_per_class_;
   // cbs-lint: snapshot-complete-ok(owner re-wires set_on_complete post-fork)
   CompletionHandler on_complete_;
   int link_slot_ = -1;  ///< registered handler slot on link_

@@ -224,18 +224,17 @@ RunResult ScenarioWorld::result() const {
     result.faults.hazard_false_negatives += hs.false_negatives;
   }
 
+  cbs::sla::OoMetricCalculator oo(result.outcomes);
+  result.oo_series =
+      oo.ordered_mb_series(scenario_.oo_sampling_interval, scenario_.oo_tolerance);
   result.report = cbs::sla::build_report(
       std::string(cbs::core::to_string(scenario_.scheduler)),
       std::string(cbs::workload::to_string(scenario_.bucket)), result.outcomes,
       controller.ic_cluster().total_busy_time(),
       controller.ic_cluster().machine_count(),
       controller.ec_cluster().total_busy_time(),
-      controller.ec_cluster().machine_count(), scenario_.oo_sampling_interval,
+      controller.ec_cluster().machine_count(), result.oo_series,
       scenario_.oo_tolerance);
-
-  cbs::sla::OoMetricCalculator oo(result.outcomes);
-  result.oo_series =
-      oo.ordered_mb_series(scenario_.oo_sampling_interval, scenario_.oo_tolerance);
 
   result.tickets =
       cbs::sla::evaluate_tickets(result.outcomes, scenario_.ticket_policy);

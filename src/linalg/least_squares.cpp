@@ -8,33 +8,30 @@
 
 namespace cbs::linalg {
 
-namespace {
-
-void fill_fit_quality(const Matrix& a, const Vector& b, FitResult& fit) {
-  const Vector pred = a * fit.coefficients;
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  double mean_b = 0.0;
-  for (double y : b) mean_b += y;
-  mean_b /= static_cast<double>(b.size());
-
-  double ape_sum = 0.0;
-  std::size_t ape_n = 0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    const double r = b[i] - pred[i];
-    ss_res += r * r;
-    ss_tot += (b[i] - mean_b) * (b[i] - mean_b);
-    if (std::abs(b[i]) > 1e-12) {
-      ape_sum += std::abs(r / b[i]);
-      ++ape_n;
-    }
+void FitQuality::add(double observed, double predicted) {
+  const double r = observed - predicted;
+  ss_res_ += r * r;
+  ss_tot_ += (observed - mean_observed_) * (observed - mean_observed_);
+  if (std::abs(observed) > 1e-12) {
+    ape_sum_ += std::abs(r / observed);
+    ++ape_n_;
   }
-  fit.rmse = std::sqrt(ss_res / static_cast<double>(b.size()));
-  fit.r_squared = ss_tot <= 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
-  fit.mape = ape_n == 0 ? 0.0 : ape_sum / static_cast<double>(ape_n);
+  ++n_;
 }
 
-}  // namespace
+void FitQuality::finish(FitResult& fit) const {
+  fit.rmse = std::sqrt(ss_res_ / static_cast<double>(n_));
+  fit.r_squared = ss_tot_ <= 0.0 ? 1.0 : 1.0 - ss_res_ / ss_tot_;
+  fit.mape = ape_n_ == 0 ? 0.0 : ape_sum_ / static_cast<double>(ape_n_);
+}
+
+std::optional<Vector> solve_ridge_normal(Matrix gram, const Vector& rhs,
+                                         double lambda) {
+  assert(gram.rows() == gram.cols() && gram.rows() == rhs.size());
+  assert(lambda >= 0.0);
+  for (std::size_t i = 0; i < gram.rows(); ++i) gram(i, i) += lambda;
+  return solve_spd(gram, rhs);
+}
 
 FitResult ridge_least_squares(const Matrix& a, const Vector& b, double lambda) {
   assert(a.rows() == b.size());
@@ -42,10 +39,7 @@ FitResult ridge_least_squares(const Matrix& a, const Vector& b, double lambda) {
   assert(lambda >= 0.0);
 
   FitResult fit;
-  Matrix gram = a.gram();
-  for (std::size_t i = 0; i < gram.rows(); ++i) gram(i, i) += lambda;
-
-  if (auto x = solve_spd(gram, a.transpose_times(b))) {
+  if (auto x = solve_ridge_normal(a.gram(), a.transpose_times(b), lambda)) {
     fit.coefficients = std::move(*x);
   } else {
     auto x2 = qr_least_squares(a, b);
@@ -59,7 +53,13 @@ FitResult ridge_least_squares(const Matrix& a, const Vector& b, double lambda) {
     }
     fit.used_qr_fallback = true;
   }
-  fill_fit_quality(a, b, fit);
+  double mean_b = 0.0;
+  for (double y : b) mean_b += y;
+  mean_b /= static_cast<double>(b.size());
+  FitQuality quality(mean_b);
+  const Vector pred = a * fit.coefficients;
+  for (std::size_t i = 0; i < b.size(); ++i) quality.add(b[i], pred[i]);
+  quality.finish(fit);
   return fit;
 }
 

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstddef>
+#include <optional>
+
 #include "linalg/matrix.hpp"
 
 namespace cbs::linalg {
@@ -13,6 +16,36 @@ struct FitResult {
   double mape = 0.0;        ///< mean |residual / y| over y != 0 rows
   bool used_qr_fallback = false;
 };
+
+/// Streaming goodness of fit: feed every (observed, predicted) pair in row
+/// order, then finish() writes r², rmse and mape into a FitResult. The
+/// mean of the observed values is needed up front (for SS_tot), so callers
+/// make one pass for it and one for the residuals. ridge_least_squares
+/// reports its fit quality through this, so both agree bit for bit.
+class FitQuality {
+ public:
+  explicit FitQuality(double mean_observed) : mean_observed_(mean_observed) {}
+
+  void add(double observed, double predicted);
+  void finish(FitResult& fit) const;
+
+ private:
+  double mean_observed_;
+  double ss_res_ = 0.0;
+  double ss_tot_ = 0.0;
+  double ape_sum_ = 0.0;
+  std::size_t ape_n_ = 0;
+  std::size_t n_ = 0;
+};
+
+/// Solves the ridge normal equations (G + λI)·x = c by Cholesky, for
+/// callers that keep G = AᵀA and c = Aᵀb themselves instead of a design
+/// matrix. std::nullopt when G + λI is not (numerically) positive
+/// definite; the caller then builds A and uses ridge_least_squares, whose
+/// QR fallback handles that case.
+[[nodiscard]] std::optional<Vector> solve_ridge_normal(Matrix gram,
+                                                       const Vector& rhs,
+                                                       double lambda);
 
 /// Ridge-regularized least squares: minimizes ‖A·x − b‖² + λ‖x‖².
 ///

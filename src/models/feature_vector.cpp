@@ -1,7 +1,6 @@
 #include "models/feature_vector.hpp"
 
-#include <cassert>
-#include <cmath>
+#include <utility>
 
 namespace cbs::models {
 
@@ -27,45 +26,50 @@ std::array<double, kNumRawFeatures> extract_raw(
   };
 }
 
-std::vector<double> quadratic_expand(const std::array<double, kNumRawFeatures>& x) {
-  std::vector<double> row;
-  row.reserve(quadratic_dim(kNumRawFeatures));
-  row.push_back(1.0);
-  for (double xi : x) row.push_back(xi);
+namespace {
+
+constexpr std::size_t kCrossTerms =
+    kNumRawFeatures * (kNumRawFeatures - 1) / 2;
+using IndexPair = std::pair<std::size_t, std::size_t>;
+
+/// (i, j), i < j, of every interaction term in row order.
+constexpr std::array<IndexPair, kCrossTerms> kCrossPairs = [] {
+  std::array<IndexPair, kCrossTerms> pairs{};
+  std::size_t k = 0;
   for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-    for (std::size_t j = i + 1; j < kNumRawFeatures; ++j) {
-      row.push_back(x[i] * x[j]);
-    }
+    for (std::size_t j = i + 1; j < kNumRawFeatures; ++j) pairs[k++] = {i, j};
   }
-  for (double xi : x) row.push_back(xi * xi);
-  assert(row.size() == quadratic_dim(kNumRawFeatures));
+  return pairs;
+}();
+
+// Expanded at compile time: the expansion runs for every window row at
+// every refit, and a loop nest with varying trip counts is not unrolled.
+template <std::size_t... K>
+void fill_cross_terms(const std::array<double, kNumRawFeatures>& x, double* out,
+                      std::index_sequence<K...>) {
+  ((out[K] = x[kCrossPairs[K].first] * x[kCrossPairs[K].second]), ...);
+}
+
+}  // namespace
+
+std::array<double, kQuadraticDim> quadratic_expand(
+    const std::array<double, kNumRawFeatures>& x) {
+  constexpr std::size_t n = kNumRawFeatures;
+  static_assert(kQuadraticDim == 1 + n + kCrossTerms + n);
+  std::array<double, kQuadraticDim> row;  // every element written below
+  row[0] = 1.0;
+  for (std::size_t i = 0; i < n; ++i) row[1 + i] = x[i];
+  fill_cross_terms(x, row.data() + 1 + n,
+                   std::make_index_sequence<kCrossTerms>{});
+  double* squares = row.data() + 1 + n + kCrossTerms;
+  for (std::size_t i = 0; i < n; ++i) squares[i] = x[i] * x[i];
   return row;
 }
 
 FeatureScaler FeatureScaler::fit(
     const std::vector<std::array<double, kNumRawFeatures>>& rows) {
-  FeatureScaler s;
-  s.scale.fill(1.0);
-  if (rows.empty()) return s;
-
-  const auto n = static_cast<double>(rows.size());
-  for (const auto& r : rows) {
-    for (std::size_t i = 0; i < kNumRawFeatures; ++i) s.mean[i] += r[i];
-  }
-  for (double& m : s.mean) m /= n;
-
-  std::array<double, kNumRawFeatures> var{};
-  for (const auto& r : rows) {
-    for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-      const double d = r[i] - s.mean[i];
-      var[i] += d * d;
-    }
-  }
-  for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-    const double sd = std::sqrt(var[i] / n);
-    s.scale[i] = sd > 1e-12 ? sd : 1.0;
-  }
-  return s;
+  using Raw = std::array<double, kNumRawFeatures>;
+  return fit(rows, [](const Raw& r) -> const Raw& { return r; });
 }
 
 std::array<double, kNumRawFeatures> FeatureScaler::apply(

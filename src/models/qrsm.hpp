@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -22,6 +23,15 @@ namespace cbs::models {
 /// observed (features, actual runtime) pairs, exactly the autonomic loop
 /// the paper describes: start from a factory prior trained on a standard
 /// corpus, then adapt to the deployment.
+///
+/// Refits cost O(dim²) per observation, not O(window · dim²) per refit: the
+/// model keeps the window's sufficient statistics S = Σφ(u)φ(u)ᵀ and
+/// b = Σφ(u)·y in a fixed reference frame u = (x − m₀)/s₀, adds each new
+/// row and subtracts each evicted one, and maps them into the window's own
+/// standardization at refit time (DESIGN.md §9). They are rebuilt exactly
+/// from the buffer, re-anchoring the frame, once as many rows have been
+/// folded in incrementally as the window held at the last rebuild — which
+/// bounds drift at an amortized O(dim²) per observation.
 class QrsmModel {
  public:
   struct Config {
@@ -68,6 +78,21 @@ class QrsmModel {
     double y;
   };
 
+  /// Adds (sign = +1) or removes (sign = −1) one example's row of the
+  /// sufficient statistics, expanded in the reference frame.
+  void accumulate(const Example& ex, double sign);
+  /// Recomputes the statistics exactly from the buffer in the frame of
+  /// `scaler_`, which becomes the new reference frame.
+  void rebuild_statistics();
+  /// Solves the ridge system mapped into the `scaler_` frame; std::nullopt
+  /// when Cholesky fails.
+  [[nodiscard]] std::optional<cbs::linalg::Vector> solve_from_statistics()
+      const;
+  /// r², rmse and mape of `fit` over the window (FitQuality's formulas).
+  void fill_quality(cbs::linalg::FitResult& fit) const;
+  /// The old path: design matrix + ridge_least_squares (QR fallback).
+  [[nodiscard]] cbs::linalg::FitResult fit_from_design_matrix() const;
+
   Config config_;
   std::deque<Example> buffer_;
   std::size_t total_observed_ = 0;
@@ -75,6 +100,15 @@ class QrsmModel {
   FeatureScaler scaler_;
   std::optional<cbs::linalg::FitResult> fit_;
   double mean_runtime_ = 0.0;  // fallback prediction before first fit
+
+  // Sufficient statistics of the window, valid once `has_frame_` (the
+  // first refit with enough data builds them).
+  bool has_frame_ = false;
+  FeatureScaler frame_;  ///< the reference frame u = (x − m₀)/s₀
+  std::size_t rows_at_rebuild_ = 0;
+  std::size_t updates_since_rebuild_ = 0;
+  std::array<double, kQuadraticDim * kQuadraticDim> xtx_{};  ///< upper triangle
+  std::array<double, kQuadraticDim> xty_{};
 };
 
 }  // namespace cbs::models

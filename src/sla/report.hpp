@@ -6,6 +6,7 @@
 #include "sla/job_outcome.hpp"
 #include "sla/metrics.hpp"
 #include "sla/oo_metric.hpp"
+#include "stats/timeseries.hpp"
 
 namespace cbs::sla {
 
@@ -36,6 +37,15 @@ struct SlaReport {
     const std::vector<JobOutcome>& outcomes, double ic_total_busy,
     std::size_t ic_machines, double ec_total_busy, std::size_t ec_machines,
     double oo_interval, std::uint64_t oo_tolerance);
+
+/// Same, from an OO series the caller already computed with
+/// OoMetricCalculator::ordered_mb_series at `oo_tolerance` (a run keeps
+/// the series anyway, so it is computed once).
+[[nodiscard]] SlaReport build_report(
+    std::string scheduler, std::string bucket,
+    const std::vector<JobOutcome>& outcomes, double ic_total_busy,
+    std::size_t ic_machines, double ec_total_busy, std::size_t ec_machines,
+    const cbs::stats::TimeSeries& oo_series, std::uint64_t oo_tolerance);
 
 /// Fixed-width table of several reports (one line each), with a header —
 /// the harness's standard output format.

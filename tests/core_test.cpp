@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 
 #include "core/bandwidth_split.hpp"
@@ -381,6 +382,29 @@ TEST(BandwidthSplitTest, SchedulerAssignsUploadClasses) {
   EXPECT_TRUE(saw_large);
 }
 
+TEST(BandwidthSplitTest, NegativeBacklogKeepsBoundsInsideL) {
+  // A backlog below zero (the rounding residue of an idle queue) pushes
+  // the small queue's left-over share to 1.5 and the medium one's to -1;
+  // the counts are clamped to |L| instead of indexing past it.
+  SchedulerFixture f;
+  f.fx.belief.commit_ic(999, 40000.0);  // everything is burst-eligible
+  const std::vector<Document> batch = {make_doc(1, 10.0), make_doc(2, 20.0),
+                                       make_doc(3, 40.0), make_doc(4, 80.0)};
+  const auto bounds = compute_size_interval_bounds(
+      batch, f.fx.belief, 0.0, 4, {-2.0e-8, 3.0e-8, 0.0});
+  ASSERT_TRUE(bounds.has_value());
+  EXPECT_EQ(bounds->small_upper_mb, 80.0);  // the whole of L is small
+  EXPECT_EQ(bounds->medium_upper_mb, 80.0);
+  // Negative total: the degenerate equal-thirds split.
+  const auto thirds = compute_size_interval_bounds(
+      batch, f.fx.belief, 0.0, 4, {-3.0e-8, 1.0e-8, 0.0});
+  const auto balanced = compute_size_interval_bounds(
+      batch, f.fx.belief, 0.0, 4, {0.0, 0.0, 0.0});
+  ASSERT_TRUE(thirds.has_value() && balanced.has_value());
+  EXPECT_EQ(thirds->small_upper_mb, balanced->small_upper_mb);
+  EXPECT_EQ(thirds->medium_upper_mb, balanced->medium_upper_mb);
+}
+
 /// Sort-based reference for the bound selection — the implementation the
 /// nth_element version replaced. Pins that selection produces identical
 /// bounds (they are order statistics, so any divergence is a bug).
@@ -491,6 +515,78 @@ TEST(BeliefStateTest, IncrementalSlackMatchesBruteforceUnderChurn) {
   EXPECT_EQ(fx.belief.slack(now), now);
 }
 
+TEST(BeliefStateTest, JobTablesMatchStdMapReferenceUnderChurn) {
+  // The seq-indexed tables against std::map, with the outstanding-seconds
+  // arithmetic replayed on the reference side: out-of-order completions,
+  // retractions, and re-admission of retracted EC jobs to the IC with
+  // their original (by then below-the-head) seq.
+  BeliefFixture fx;
+  RngStream rng(4242);
+  std::map<std::uint64_t, double> ic_ref;
+  std::map<std::uint64_t, double> ec_ref;  // seq -> believed finish
+  double ic_seconds = 0.0;
+  std::vector<std::uint64_t> retracted_ec;
+  std::uint64_t next_seq = 1;
+  double now = 0.0;
+  auto pick = [&rng](const auto& m) {
+    auto it = m.begin();
+    // Half the time the oldest (FCFS), otherwise anywhere.
+    if (rng.next() % 2 == 0) std::advance(it, static_cast<long>(rng.next() % m.size()));
+    return it->first;
+  };
+  for (int step = 0; step < 6000; ++step) {
+    now += rng.uniform(0.0, 5.0);
+    const std::uint64_t op = rng.next() % 12;
+    if (op < 4) {
+      const std::uint64_t seq = next_seq++;
+      const double est = rng.uniform(1.0, 500.0);
+      fx.belief.commit_ic(seq, est);
+      ic_ref.emplace(seq, est);
+      ic_seconds += est;
+    } else if (op < 6) {
+      const std::uint64_t seq = next_seq++;
+      const Document doc = make_doc(seq, rng.uniform(1.0, 400.0));
+      const EcEstimate e = fx.belief.ft_ec(doc, now);
+      fx.belief.commit_ec(seq, doc, e);
+      ec_ref.emplace(seq, e.finish);
+    } else if (op < 7 && !retracted_ec.empty()) {  // re-admit below the head
+      const std::uint64_t seq = retracted_ec.back();
+      retracted_ec.pop_back();
+      const double est = rng.uniform(1.0, 500.0);
+      fx.belief.commit_ic(seq, est);
+      ic_ref.emplace(seq, est);
+      ic_seconds += est;
+    } else if (op < 9 && !ic_ref.empty()) {
+      const std::uint64_t seq = pick(ic_ref);
+      if (op == 7) {
+        fx.belief.on_ic_complete(seq);
+      } else {
+        fx.belief.retract_ic(seq);
+      }
+      ic_seconds = std::max(0.0, ic_seconds - ic_ref.at(seq));
+      ic_ref.erase(seq);
+    } else if (op < 11 && !ec_ref.empty()) {
+      const std::uint64_t seq = pick(ec_ref);
+      if (op == 9) {
+        fx.belief.on_ec_complete(seq);
+      } else {
+        fx.belief.retract_ec(seq, 0.0);
+        retracted_ec.push_back(seq);
+      }
+      ec_ref.erase(seq);
+    }
+    ASSERT_EQ(fx.belief.outstanding_ic_jobs(), ic_ref.size()) << "step " << step;
+    ASSERT_EQ(fx.belief.outstanding_ec_jobs(), ec_ref.size()) << "step " << step;
+    // Same operations in the same order: bit-identical, not just close.
+    ASSERT_EQ(fx.belief.ic_backlog_standard_seconds(), ic_seconds) << "step " << step;
+    double cushion = now;
+    if (!ic_ref.empty()) cushion = std::max(cushion, fx.belief.ic_drain_time(now));
+    for (const auto& [seq, finish] : ec_ref) cushion = std::max(cushion, finish);
+    ASSERT_EQ(fx.belief.slack_bruteforce(now), cushion) << "step " << step;
+    ASSERT_EQ(fx.belief.slack(now), cushion) << "step " << step;
+  }
+}
+
 // ---- TransferQueueSet ---------------------------------------------------
 
 struct QueueFixture {
@@ -590,6 +686,22 @@ TEST(TransferQueueSetTest, BacklogAccountsQueuedAndActive) {
   EXPECT_DOUBLE_EQ(queues.total_backlog_bytes(), 10.0e6);
   f.sim.run();
   EXPECT_DOUBLE_EQ(queues.total_backlog_bytes(), 0.0);
+}
+
+TEST(TransferQueueSetTest, IdleClassBacklogIsExactlyZero) {
+  // Three class-0 transfers share the link (riding the class-1/2 slots).
+  // Summing these sizes up and back down in completion order leaves a
+  // rounding residue of about -1e-9 bytes, which Algorithm 3 used to read
+  // as a negative backlog; an idle class must report exactly 0.
+  QueueFixture f;
+  TransferQueueSet queues(f.sim, f.link, f.tuner, 3);
+  for (const double bytes : {1105000.1, 1648000.3, 3924000.3, 3432000.1,
+                             922000.1, 4520000.3}) {
+    queues.enqueue(static_cast<std::uint64_t>(bytes), bytes, 0);
+  }
+  f.sim.run();
+  ASSERT_TRUE(queues.idle());
+  for (const double b : queues.backlog_bytes_per_class()) EXPECT_EQ(b, 0.0);
 }
 
 TEST(TransferQueueSetTest, QueuedTagsListsWaitingOnly) {

@@ -5,6 +5,7 @@
 
 #include <tuple>
 
+#include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scenario.hpp"
 #include "sla/metrics.hpp"
@@ -175,6 +176,22 @@ TEST(IntegrationTest, BytesConservedAcrossTheInterCloudPath) {
   double total_in = 0.0;
   for (const auto& o : result.outcomes) total_in += o.input_mb;
   EXPECT_LE(bursted_in, total_in);
+}
+
+TEST(IntegrationTest, BandwidthSplitCellWithIdleQueueResidueCompletes) {
+  // A 24-batch grid cell that used to abort in Algorithm 3
+  // (bandwidth_split.cpp: medium_last >= k_small): an idle upload class
+  // kept a negative rounding residue of its active bytes, a left-over share
+  // rose above 1 and the small count exceeded the eligible list.
+  const std::vector<const char*> argv = {
+      "cloudburst_sim", "--lambda",   "15",        "--batches",
+      "24",             "--seed",     "2",         "--bucket",
+      "uniform",        "--scheduler", "op-bandwidth-split"};
+  const harness::cli::Args args(static_cast<int>(argv.size()), argv.data(),
+                                harness::cli::scenario_flags());
+  const auto result = harness::run_scenario(harness::cli::scenario_from_args(args));
+  EXPECT_GT(result.outcomes.size(), 300u);
+  EXPECT_GT(result.report.makespan_seconds, 0.0);
 }
 
 }  // namespace

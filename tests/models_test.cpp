@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 
+#include "linalg/least_squares.hpp"
 #include "models/estimator.hpp"
 #include "models/feature_vector.hpp"
+#include "models/per_class_qrsm.hpp"
 #include "models/qrsm.hpp"
 #include "simcore/rng.hpp"
 #include "workload/generator.hpp"
@@ -184,6 +187,231 @@ TEST(QrsmTest, AdaptsToRegimeChange) {
   }
   const double after = model.predict(probe_docs[0].features);
   EXPECT_GT(after, 1.5 * before);
+}
+
+// ---- QrsmModel: sufficient-statistics refit vs a from-scratch reference ----
+
+/// The textbook refit the model's incremental statistics must reproduce:
+/// standardize the window, build the quadratic design matrix, solve by
+/// ridge_least_squares. Keeps its own copy of the window.
+class ReferenceQrsm {
+ public:
+  explicit ReferenceQrsm(QrsmModel::Config config) : config_(config) {}
+
+  void observe(const DocumentFeatures& f, double y) {
+    window_.push_back({extract_raw(f), y});
+    if (config_.window > 0 && window_.size() > config_.window) window_.pop_front();
+  }
+
+  void refit() {
+    std::vector<std::array<double, kNumRawFeatures>> raws;
+    for (const auto& [raw, y] : window_) raws.push_back(raw);
+    scaler_ = FeatureScaler::fit(raws);
+    cbs::linalg::Matrix design(window_.size(), kQuadraticDim);
+    cbs::linalg::Vector ys;
+    for (std::size_t r = 0; r < window_.size(); ++r) {
+      const auto row = quadratic_expand(scaler_.apply(window_[r].first));
+      std::copy(row.begin(), row.end(), design.row_data(r));
+      ys.push_back(window_[r].second);
+    }
+    fit_ = cbs::linalg::ridge_least_squares(design, ys, config_.ridge_lambda);
+  }
+
+  [[nodiscard]] double predict_raw(const DocumentFeatures& f) const {
+    const auto row = quadratic_expand(scaler_.apply(extract_raw(f)));
+    double acc = 0.0;
+    for (std::size_t j = 0; j < row.size(); ++j) acc += row[j] * fit_.coefficients[j];
+    return acc;
+  }
+  [[nodiscard]] double predict(const DocumentFeatures& f) const {
+    return std::max(predict_raw(f), config_.min_prediction_seconds);
+  }
+  [[nodiscard]] const cbs::linalg::FitResult& fit() const { return fit_; }
+
+ private:
+  QrsmModel::Config config_;
+  std::deque<std::pair<std::array<double, kNumRawFeatures>, double>> window_;
+  FeatureScaler scaler_;
+  cbs::linalg::FitResult fit_;
+};
+
+/// Noisy labels from the default ground truth, so the fit is not exact.
+struct QrsmStream {
+  GroundTruthModel truth{GroundTruthModel::Config{}, RngStream(11)};
+  WorkloadGenerator gen{{}, truth, RngStream(12)};
+  RngStream noise{13};
+
+  std::pair<DocumentFeatures, double> next() {
+    const Document d = gen.next();
+    return {d.features, truth.expected_seconds(d.features) * noise.uniform(0.8, 1.2)};
+  }
+};
+
+void expect_relative(double got, double want, double tol, const std::string& what) {
+  EXPECT_LE(std::abs(got - want), tol * std::max(1.0, std::abs(want))) << what;
+}
+
+/// Streams `n` observations into a model and the reference side by side;
+/// after every refit the model's predictions on fixed probes must match
+/// the reference within `tol` relative. Returns the number of refits.
+int compare_stream(QrsmModel& model, ReferenceQrsm& ref, QrsmStream& stream,
+                   std::size_t n, std::size_t refit_interval, double tol) {
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 16; ++i) probes.push_back(stream.next().first);
+  int refits = 0;
+  const std::size_t min_rows = kQuadraticDim + kQuadraticDim / 4;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    ref.observe(f, y);
+    if ((i + 1) % refit_interval != 0 || model.buffered() < min_rows) continue;
+    ref.refit();
+    ++refits;
+    for (const auto& p : probes) {
+      expect_relative(model.predict(p), ref.predict(p), tol,
+                      "observation " + std::to_string(i));
+    }
+    EXPECT_NEAR(model.last_fit()->r_squared, ref.fit().r_squared, 1e-9);
+    EXPECT_NEAR(model.last_fit()->mape, ref.fit().mape, 1e-9);
+    expect_relative(model.last_fit()->rmse, ref.fit().rmse, 1e-9, "rmse");
+  }
+  return refits;
+}
+
+TEST(QrsmIncrementalTest, MatchesFromScratchRefitOverWindowTurnovers) {
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmModel model(cfg);
+  ReferenceQrsm ref(cfg);
+  QrsmStream stream;
+  // 6 turnovers of the window: the statistics are updated incrementally,
+  // rebuilt every 256 updates, and mapped into each refit's frame.
+  const int refits = compare_stream(model, ref, stream, 6 * 256 + 40, 32, 1e-9);
+  EXPECT_GE(refits, 40);
+}
+
+TEST(QrsmIncrementalTest, UnboundedWindow) {
+  const QrsmModel::Config cfg{.refit_interval = 40, .window = 0};
+  QrsmModel model(cfg);
+  ReferenceQrsm ref(cfg);
+  QrsmStream stream;
+  compare_stream(model, ref, stream, 1200, 40, 1e-9);
+  EXPECT_EQ(model.buffered(), 1200u);
+}
+
+TEST(QrsmIncrementalTest, WindowNotAMultipleOfRefitInterval) {
+  const QrsmModel::Config cfg{.refit_interval = 48, .window = 200};
+  QrsmModel model(cfg);
+  ReferenceQrsm ref(cfg);
+  QrsmStream stream;
+  compare_stream(model, ref, stream, 5 * 200 + 17, 48, 1e-9);
+}
+
+TEST(QrsmIncrementalTest, ExplicitRefitBetweenIntervals) {
+  const QrsmModel::Config cfg{.refit_interval = 64, .window = 128};
+  QrsmModel model(cfg);
+  ReferenceQrsm ref(cfg);
+  QrsmStream stream;
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 8; ++i) probes.push_back(stream.next().first);
+  for (int i = 0; i < 700; ++i) {
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    ref.observe(f, y);
+    if (i > 100 && i % 37 == 36) {  // off the 64-observation cadence
+      model.refit();
+      ref.refit();
+      for (const auto& p : probes) {
+        expect_relative(model.predict(p), ref.predict(p), 1e-9, "step " + std::to_string(i));
+      }
+    }
+  }
+}
+
+TEST(QrsmIncrementalTest, CorpusFitIsBitIdenticalToDesignMatrixFit) {
+  // fit() builds the statistics from scratch in the window's own frame, so
+  // the solve sees exactly the design-matrix Gram: same bits, not just close.
+  QrsmStream stream;
+  std::vector<DocumentFeatures> feats;
+  std::vector<double> ys;
+  ReferenceQrsm ref(QrsmModel::Config{});
+  for (int i = 0; i < 300; ++i) {
+    const auto [f, y] = stream.next();
+    feats.push_back(f);
+    ys.push_back(y);
+    ref.observe(f, y);
+  }
+  QrsmModel model;
+  model.fit(feats, ys);
+  ref.refit();
+  ASSERT_TRUE(model.is_fitted());
+  EXPECT_EQ(model.last_fit()->coefficients, ref.fit().coefficients);
+  EXPECT_EQ(model.last_fit()->r_squared, ref.fit().r_squared);
+  EXPECT_EQ(model.last_fit()->rmse, ref.fit().rmse);
+  EXPECT_EQ(model.last_fit()->mape, ref.fit().mape);
+  EXPECT_FALSE(model.last_fit()->used_qr_fallback);
+  for (const auto& f : feats) EXPECT_EQ(model.predict(f), ref.predict(f));
+}
+
+TEST(QrsmIncrementalTest, CopyTakenMidStreamContinuesIdentically) {
+  // The fork case: a copy carries the statistics, reference frame and
+  // rebuild countdown, so both continue bit for bit.
+  QrsmModel model({.refit_interval = 32, .window = 256});
+  QrsmStream stream;
+  for (int i = 0; i < 300; ++i) {  // mid-way between rebuilds
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+  }
+  QrsmModel fork = model;
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 8; ++i) probes.push_back(stream.next().first);
+  for (int i = 0; i < 800; ++i) {
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    fork.observe(f, y);
+    if (i % 32 == 31) {
+      for (const auto& p : probes) ASSERT_EQ(model.predict(p), fork.predict(p));
+    }
+  }
+  EXPECT_EQ(model.last_fit()->coefficients, fork.last_fit()->coefficients);
+  EXPECT_EQ(model.last_fit()->r_squared, fork.last_fit()->r_squared);
+}
+
+TEST(QrsmIncrementalTest, PerClassEstimatorTracksReferencePerClass) {
+  PerClassQrsmEstimator::Config cfg;
+  cfg.model = {.refit_interval = 32, .window = 256};
+  cfg.min_class_observations = 80;
+  PerClassQrsmEstimator estimator(cfg);
+  ReferenceQrsm pooled(cfg.model);
+  std::vector<ReferenceQrsm> per_class(cbs::workload::kAllJobTypes.size(),
+                                       ReferenceQrsm(cfg.model));
+  std::vector<std::size_t> counts(cbs::workload::kAllJobTypes.size(), 0);
+  QrsmStream stream;
+  for (int i = 0; i < 2000; ++i) {
+    Document d = stream.gen.next();
+    const double y = stream.truth.expected_seconds(d.features) * stream.noise.uniform(0.8, 1.2);
+    estimator.observe(d, y);
+    pooled.observe(d.features, y);
+    const auto k = static_cast<std::size_t>(d.features.type);
+    per_class[k].observe(d.features, y);
+    ++counts[k];
+  }
+  // Refit copies of the models and the references on the same windows.
+  const DocumentFeatures probe = stream.next().first;
+  pooled.refit();
+  QrsmModel pooled_model = estimator.pooled();
+  pooled_model.refit();
+  expect_relative(pooled_model.predict(probe), pooled.predict(probe), 1e-9, "pooled");
+  for (const auto type : cbs::workload::kAllJobTypes) {
+    const auto k = static_cast<std::size_t>(type);
+    if (counts[k] < kQuadraticDim + kQuadraticDim / 4) continue;
+    QrsmModel m = estimator.class_model(type);
+    m.refit();
+    per_class[k].refit();
+    DocumentFeatures f = probe;
+    f.type = type;
+    expect_relative(m.predict(f), per_class[k].predict(f), 1e-9,
+                    "class " + std::to_string(k));
+  }
 }
 
 // ---- estimators --------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "sla/job_outcome.hpp"
@@ -7,6 +9,7 @@
 #include "sla/oo_metric.hpp"
 #include "sla/report.hpp"
 #include "sla/slack.hpp"
+#include "simcore/rng.hpp"
 
 namespace {
 
@@ -141,6 +144,65 @@ TEST(OoMetricTest, SeriesCoversRunAndEndsFlat) {
   const auto series = oo.series(10.0, 0);
   EXPECT_GE(series.back().time, 95.0);
   EXPECT_DOUBLE_EQ(series.back().ordered_mb, 10.0);
+}
+
+/// Randomized outcomes for the sweep-vs-scan pin: completion roughly in id
+/// order with jitter (so the complete prefix P(t) is non-trivial), a third
+/// landing exactly on the sampling grid, and some that never complete.
+std::vector<JobOutcome> random_outcomes(std::uint64_t seed, std::size_t n,
+                                        double interval) {
+  cbs::sim::RngStream rng(seed);
+  std::vector<JobOutcome> outcomes;
+  for (std::size_t i = 1; i <= n; ++i) {
+    double completed = 2.0 * static_cast<double>(i) + rng.uniform(0.0, 300.0);
+    const std::uint64_t kind = rng.next() % 10;
+    if (kind < 3) completed = interval * std::floor(completed / interval);  // tie
+    if (kind == 9) completed = 0.0;  // never completes
+    outcomes.push_back(outcome(i, completed, rng.uniform(0.1, 300.0)));
+  }
+  std::swap(outcomes.front(), outcomes.back());  // any input order is allowed
+  return outcomes;
+}
+
+TEST(OoMetricTest, SeriesSweepIsBitIdenticalToPerSampleScan) {
+  const double interval = 10.0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::size_t n = 50 + 60 * seed;
+    const auto outcomes = random_outcomes(seed, n, interval);
+    OoMetricCalculator oo(outcomes);
+    for (const std::uint64_t tol : {std::uint64_t{0}, std::uint64_t{4}, std::uint64_t{n}}) {
+      const auto series = oo.series(interval, tol);
+      ASSERT_GT(series.size(), 10u);
+      for (const OoSample& s : series) {
+        const OoSample ref = oo.sample_at(s.time, tol);
+        ASSERT_EQ(s.max_in_order, ref.max_in_order) << "seed " << seed << " tol " << tol << " t " << s.time;
+        ASSERT_EQ(s.ordered_mb, ref.ordered_mb) << "seed " << seed << " tol " << tol << " t " << s.time;
+        ASSERT_EQ(s.completed_count, ref.completed_count) << "t " << s.time;
+      }
+    }
+  }
+}
+
+TEST(OoMetricTest, SeriesOfNoOutcomesIsFlatZero) {
+  OoMetricCalculator oo({});
+  for (const OoSample& s : oo.series(5.0, 0)) {
+    EXPECT_EQ(s.max_in_order, 0u);
+    EXPECT_EQ(s.ordered_mb, 0.0);
+    EXPECT_EQ(s.completed_count, 0u);
+  }
+}
+
+TEST(ReportTest, PrecomputedSeriesGivesTheSameReport) {
+  const auto outcomes = random_outcomes(9, 200, 10.0);
+  const SlaReport direct = build_report("op", "uniform", outcomes, 160.0, 2,
+                                        50.0, 1, 10.0, 3);
+  const auto series = OoMetricCalculator(outcomes).ordered_mb_series(10.0, 3);
+  const SlaReport from_series = build_report("op", "uniform", outcomes, 160.0, 2,
+                                             50.0, 1, series, 3);
+  EXPECT_EQ(direct.oo_final_mb, from_series.oo_final_mb);
+  EXPECT_EQ(direct.oo_time_averaged_mb, from_series.oo_time_averaged_mb);
+  EXPECT_EQ(direct.makespan_seconds, from_series.makespan_seconds);
+  EXPECT_EQ(format_table({direct}), format_table({from_series}));
 }
 
 // ---- makespan / speedup / utilization / burst (Eq. 7-12) --------------------
