@@ -393,6 +393,31 @@ void BM_SnapshotFork(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotFork)->Unit(benchmark::kMicrosecond);
 
+void BM_SnapshotForkAt(benchmark::State& state, std::size_t fork_batch) {
+  // One fork of a 200-batch run at stationary load (IC busy, backlog
+  // bounded), taken just after batch `fork_batch` arrives. A fork copies
+  // live state — jobs in flight, pending events, the QRSM window — not
+  // finished jobs, completion logs or the arrival schedule, so the early
+  // and the late fork should cost about the same. The gap left is the
+  // outcome list (rollout scoring reads it) and the QRSM window filling.
+  auto scenario = cbs::harness::make_scenario(
+      cbs::core::SchedulerKind::kOrderPreserving,
+      cbs::workload::SizeBucket::kUniform, 42);
+  scenario.num_batches = 200;
+  scenario.mean_jobs_per_batch = 10.0;
+  cbs::harness::ScenarioWorld world(scenario);
+  world.run_until(world.batches()[fork_batch].arrival_time + 1.0);
+  for (auto _ : state) {
+    auto forked = world.fork();
+    benchmark::DoNotOptimize(forked->now());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SnapshotForkAt, early, std::size_t{10})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SnapshotForkAt, late, std::size_t{190})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_LookaheadDecision(benchmark::State& state) {
   // One full model-predictive decision: fork the world once per candidate,
   // inject the batch, roll each fork 900 s forward and score it.

@@ -13,6 +13,7 @@
 #include "core/scheduler.hpp"
 #include "core/upload_queues.hpp"
 #include "util/flat_map.hpp"
+#include "util/seq_ring.hpp"
 #include "models/estimator.hpp"
 #include "models/hazard.hpp"
 #include "net/bandwidth_estimator.hpp"
@@ -217,7 +218,9 @@ class CloudBurstController {
   TransferQueueSet upload_queues_;
   TransferQueueSet download_queue_;
 
-  cbs::util::FlatMap<std::uint64_t, Job> jobs_;
+  /// Live jobs by seq: finish_job() erases each job, so a fork copies the
+  /// jobs in flight, not the run's history.
+  cbs::util::SeqRing<Job> jobs_;
   std::deque<std::uint64_t> ic_wait_;  ///< IC feed queue (enables rescheduling)
   std::vector<cbs::sla::JobOutcome> outcomes_;
   std::uint64_t next_seq_ = 1;

@@ -71,6 +71,13 @@ long Args::get_long_or(const std::string& key, long fallback) const {
   return out;
 }
 
+std::size_t Args::get_count_or(const std::string& key,
+                               std::size_t fallback) const {
+  const long out = get_long_or(key, static_cast<long>(fallback));
+  if (out < 0) throw std::runtime_error("--" + key + " must not be negative");
+  return static_cast<std::size_t>(out);
+}
+
 cbs::core::SchedulerKind parse_scheduler(const std::string& name) {
   using cbs::core::SchedulerKind;
   if (name == "ic-only") return SchedulerKind::kIcOnly;
@@ -125,12 +132,11 @@ Scenario scenario_from_args(const Args& args) {
       parse_bucket(args.get_or("bucket", "large")),
       static_cast<std::uint64_t>(args.get_long_or("seed", 42)),
       args.has("high-var"));
-  s.num_batches = static_cast<std::size_t>(args.get_long_or("batches", 8));
+  s.num_batches = args.get_count_or("batches", 8);
   s.mean_jobs_per_batch = args.get_double_or("lambda", 15.0);
   s.batch_interval_seconds = args.get_double_or("interval", 180.0);
   s.enable_rescheduler = args.has("rescheduler");
-  s.oo_tolerance =
-      static_cast<std::uint64_t>(args.get_long_or("tolerance", 4));
+  s.oo_tolerance = args.get_count_or("tolerance", 4);
   s.oo_sampling_interval = args.get_double_or("oo-interval", 120.0);
   s.truth.noise_sigma = args.get_double_or("noise", s.truth.noise_sigma);
 
@@ -173,6 +179,13 @@ Scenario scenario_from_args(const Args& args) {
       args.get_double_or("horizon", s.lookahead_horizon_seconds);
   s.lookahead_candidates = static_cast<int>(
       args.get_long_or("candidates", s.lookahead_candidates));
+
+  const std::vector<std::string> problems = validate_scenario(s);
+  if (!problems.empty()) {
+    std::string msg = "invalid scenario: " + problems.front();
+    for (std::size_t i = 1; i < problems.size(); ++i) msg += "; " + problems[i];
+    throw std::runtime_error(msg);
+  }
   return s;
 }
 

@@ -27,6 +27,10 @@ class Args {
   [[nodiscard]] double get_double_or(const std::string& key,
                                      double fallback) const;
   [[nodiscard]] long get_long_or(const std::string& key, long fallback) const;
+  /// get_long_or for counts: throws on a negative value instead of letting
+  /// it wrap around to a huge unsigned one.
+  [[nodiscard]] std::size_t get_count_or(const std::string& key,
+                                         std::size_t fallback) const;
 
   /// Non-flag positional arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -50,7 +54,8 @@ class Args {
 [[nodiscard]] cbs::models::HazardPredictorKind parse_hazard_predictor(
     const std::string& name);
 
-/// Builds a Scenario from parsed flags. Recognized flags:
+/// Builds a Scenario from parsed flags and validates it (validate_scenario);
+/// throws std::runtime_error listing every problem. Recognized flags:
 ///   --scheduler --bucket --seed --batches --lambda --interval --high-var
 ///   --rescheduler --elastic --estimator (qrsm|oracle|per-class)
 ///   --tolerance --oo-interval --noise

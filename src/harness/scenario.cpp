@@ -1,5 +1,6 @@
 #include "harness/scenario.hpp"
 
+#include <cmath>
 #include <sstream>
 
 namespace cbs::harness {
@@ -24,6 +25,42 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
   cfg.log_threshold = log_threshold;
   cfg.log_sink = log_sink;
   return cfg;
+}
+
+std::vector<std::string> validate_scenario(const Scenario& s) {
+  std::vector<std::string> problems;
+  const auto require = [&problems](bool ok, const char* field, double value,
+                                   const char* rule) {
+    if (ok) return;
+    std::ostringstream msg;
+    msg << field << " must be " << rule << " (got " << value << ")";
+    problems.push_back(msg.str());
+  };
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  require(s.num_batches >= 1, "num_batches",
+          static_cast<double>(s.num_batches), "at least 1");
+  require(positive(s.mean_jobs_per_batch), "mean_jobs_per_batch",
+          s.mean_jobs_per_batch, "finite and > 0");
+  require(positive(s.batch_interval_seconds), "batch_interval_seconds",
+          s.batch_interval_seconds, "finite and > 0");
+  require(non_negative(s.truth.noise_sigma), "truth.noise_sigma",
+          s.truth.noise_sigma, "finite and >= 0");
+  require(positive(s.oo_sampling_interval), "oo_sampling_interval",
+          s.oo_sampling_interval, "finite and > 0");
+  require(non_negative(s.faults.ic_vm_mtbf), "faults.ic_vm_mtbf",
+          s.faults.ic_vm_mtbf, "finite and >= 0");
+  require(non_negative(s.faults.ec_vm_mtbf), "faults.ec_vm_mtbf",
+          s.faults.ec_vm_mtbf, "finite and >= 0");
+  require(non_negative(s.faults.vm_recovery_seconds),
+          "faults.vm_recovery_seconds", s.faults.vm_recovery_seconds,
+          "finite and >= 0");
+  require(non_negative(s.faults.retraction_deadline_factor),
+          "faults.retraction_deadline_factor",
+          s.faults.retraction_deadline_factor, "finite and >= 0");
+  return problems;
 }
 
 Scenario make_scenario(cbs::core::SchedulerKind scheduler,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "simcore/logging.hpp"
@@ -79,6 +80,12 @@ struct Scenario {
   /// Resolves the effective controller configuration.
   [[nodiscard]] cbs::core::ControllerConfig controller_config() const;
 };
+
+/// Checks the fields whose bad values the simulator would otherwise abort
+/// on (an `assert` in a constructor) or silently accept (a negative MTBF
+/// switches the fault layer off): one message per problem, empty when the
+/// scenario is runnable. The CLI rejects a scenario with any.
+[[nodiscard]] std::vector<std::string> validate_scenario(const Scenario& s);
 
 /// Named constructor for the §V experiment grid.
 [[nodiscard]] Scenario make_scenario(cbs::core::SchedulerKind scheduler,

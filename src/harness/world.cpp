@@ -89,21 +89,23 @@ ScenarioWorld::ScenarioWorld(const Scenario& scenario)
   arr_cfg.num_batches = scenario.num_batches;
   cbs::workload::BatchArrivalProcess arrivals(arr_cfg, generator,
                                               root.substream("arrivals"));
-  batches_ = arrivals.generate_all();
+  batches_ = std::make_shared<const std::vector<cbs::workload::Batch>>(
+      arrivals.generate_all());
+  const std::vector<cbs::workload::Batch>& batches = *batches_;
 
   // Pre-size the event slab: all batch-arrival events are pending at once,
   // plus a working set of per-job events for roughly two batches in flight
   // (jobs overlap at the batch boundary, not across the whole horizon).
   std::size_t max_batch_jobs = 0;
-  for (const auto& b : batches_) {
+  for (const auto& b : batches) {
     max_batch_jobs = std::max(max_batch_jobs, b.documents.size());
   }
-  sim_.reserve_events(batches_.size() + 4 * max_batch_jobs + 64);
+  sim_.reserve_events(batches.size() + 4 * max_batch_jobs + 64);
 
-  batch_events_.reserve(batches_.size());
-  for (std::size_t i = 0; i < batches_.size(); ++i) {
+  batch_events_.reserve(batches.size());
+  for (std::size_t i = 0; i < batches.size(); ++i) {
     batch_events_.push_back(sim_.schedule_at(
-        batches_[i].arrival_time, [this, i] { deliver_batch(i); }));
+        batches[i].arrival_time, [this, i] { deliver_batch(i); }));
   }
 }
 
@@ -139,7 +141,7 @@ cbs::sim::SimTime ScenarioWorld::run_until(cbs::sim::SimTime deadline) {
 
 void ScenarioWorld::deliver_batch(std::size_t index) {
   batch_events_[index] = cbs::sim::EventId{};  // fired: inert across forks
-  const cbs::workload::Batch& batch = batches_[index];
+  const cbs::workload::Batch& batch = (*batches_)[index];
   if (rollout_) {
     // Inside a candidate rollout the policy under evaluation persists for
     // every in-horizon arrival; no nested lookahead.

@@ -62,7 +62,7 @@ class ScenarioWorld {
     return *controller_;
   }
   [[nodiscard]] const std::vector<cbs::workload::Batch>& batches() const noexcept {
-    return batches_;
+    return *batches_;
   }
 
   /// Marks this (freshly forked) world as a lookahead rollout: every
@@ -94,7 +94,9 @@ class ScenarioWorld {
   cbs::sim::Simulation sim_;
   cbs::workload::GroundTruthModel truth_;
   std::unique_ptr<cbs::core::CloudBurstController> controller_;
-  std::vector<cbs::workload::Batch> batches_;
+  /// The pre-drawn arrival schedule: immutable once built, so forks share
+  /// it instead of copying every batch's documents.
+  std::shared_ptr<const std::vector<cbs::workload::Batch>> batches_;
   std::vector<cbs::sim::EventId> batch_events_;  ///< restored across forks
   bool rollout_ = false;
   cbs::core::SchedulerKind rollout_kind_ =

@@ -115,7 +115,6 @@ Link::Link(cbs::sim::Simulation& dst, const Link& src)
       outage_(src.outage_),
       hot_(src.hot_),
       cold_(src.cold_),
-      completed_(src.completed_),
       next_id_(src.next_id_),
       bytes_delivered_(src.bytes_delivered_),
       dirty_(src.dirty_),
@@ -408,7 +407,6 @@ void Link::on_timer() {
   hot_.erase(due);
   dirty_ = true;
   cold_.erase(it);
-  completed_.push_back(rec);
   note_busy_transition();
   flush();
   if (cold_.empty() && tick_scheduled_) {

@@ -171,9 +171,6 @@ class Link {
 
   [[nodiscard]] std::size_t active_transfers() const noexcept { return cold_.size(); }
   [[nodiscard]] double total_bytes_delivered() const noexcept { return bytes_delivered_; }
-  [[nodiscard]] const std::vector<TransferRecord>& completed() const noexcept {
-    return completed_;
-  }
   /// Total time during which at least one transfer was active.
   [[nodiscard]] double busy_time() const;
   /// Capacity samples recorded at allocation events (for Fig. 4a). Bounded:
@@ -298,7 +295,6 @@ class Link {
   bool outage_ = false;
   HotPool hot_;
   cbs::util::FlatMap<TransferId, Cold> cold_;
-  std::vector<TransferRecord> completed_;
   TransferId next_id_ = 1;
   double bytes_delivered_ = 0.0;
   // Batched-reallocation state: membership changes set dirty_; flush()

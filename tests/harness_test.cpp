@@ -137,6 +137,57 @@ TEST(ScenarioCliTest, HighVarSurvivesElasticOverride) {
   EXPECT_DOUBLE_EQ(cfg.uplink.noise_sigma, 0.25);
 }
 
+// ---- bad input: an error at the CLI boundary, not an assert abort -------------
+
+/// The message scenario_from_args rejects `flags` with ("" if accepted).
+std::string rejection(std::initializer_list<const char*> flags) {
+  try {
+    (void)cli::scenario_from_args(scenario_args(flags));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioCliTest, RejectsZeroBatches) {
+  EXPECT_NE(rejection({"--batches=0"}).find("num_batches"), std::string::npos);
+}
+
+TEST(ScenarioCliTest, RejectsNegativeBatches) {
+  EXPECT_NE(rejection({"--batches=-3"}).find("--batches"), std::string::npos);
+}
+
+TEST(ScenarioCliTest, RejectsZeroLambda) {
+  EXPECT_NE(rejection({"--lambda=0"}).find("mean_jobs_per_batch"),
+            std::string::npos);
+}
+
+TEST(ScenarioCliTest, RejectsNanInterval) {
+  EXPECT_NE(rejection({"--interval=nan"}).find("batch_interval_seconds"),
+            std::string::npos);
+}
+
+TEST(ScenarioCliTest, RejectsNegativeIcMtbf) {
+  EXPECT_NE(rejection({"--ic-mtbf=-5"}).find("faults.ic_vm_mtbf"),
+            std::string::npos);
+}
+
+TEST(ScenarioCliTest, RejectsNegativeEcMtbf) {
+  EXPECT_NE(rejection({"--ec-mtbf=-5"}).find("faults.ec_vm_mtbf"),
+            std::string::npos);
+}
+
+TEST(ScenarioCliTest, ListsEveryProblem) {
+  const std::string msg = rejection({"--lambda=0", "--noise=-1"});
+  EXPECT_NE(msg.find("mean_jobs_per_batch"), std::string::npos);
+  EXPECT_NE(msg.find("truth.noise_sigma"), std::string::npos);
+}
+
+TEST(ScenarioTest, DefaultScenarioValidates) {
+  EXPECT_TRUE(validate_scenario(Scenario{}).empty());
+  EXPECT_TRUE(rejection({"--ic-mtbf=0", "--ec-mtbf=3600"}).empty());
+}
+
 // ---- csv / chart helpers -------------------------------------------------------
 
 RunResult tiny_run() {

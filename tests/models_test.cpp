@@ -376,6 +376,100 @@ TEST(QrsmIncrementalTest, CopyTakenMidStreamContinuesIdentically) {
   EXPECT_EQ(model.last_fit()->r_squared, fork.last_fit()->r_squared);
 }
 
+// ---- QrsmModel: fit quality computed on the first read after a refit ------
+
+TEST(QrsmLazyQualityTest, LateReadMatchesDesignMatrixOverTheRefitWindow) {
+  // Window 64, refit every 32: fit() builds the statistics from the corpus,
+  // the refit 32 observations later updates them incrementally, and the
+  // one 64 observations later rebuilds them, so that refit solves exactly
+  // the design-matrix system. Its quality, read 0, 1 or 31 observations
+  // later (rows of its window evicted meanwhile), must be the reference's
+  // bit for bit.
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 64};
+  QrsmStream stream;
+  ReferenceQrsm ref(cfg);
+  std::vector<DocumentFeatures> feats;
+  std::vector<double> ys;
+  for (int i = 0; i < 64; ++i) {
+    const auto [f, y] = stream.next();
+    feats.push_back(f);
+    ys.push_back(y);
+    ref.observe(f, y);
+  }
+  QrsmModel model(cfg);
+  model.fit(feats, ys);
+  for (int i = 0; i < 64; ++i) {
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    ref.observe(f, y);
+  }
+  ref.refit();
+  for (const std::size_t later : {0U, 1U, 31U}) {
+    QrsmModel m = model;  // quality still pending
+    for (std::size_t k = 0; k < later; ++k) {
+      const auto [f, y] = stream.next();
+      m.observe(f, y);
+    }
+    EXPECT_EQ(m.buffered(), 64U);
+    EXPECT_EQ(m.stored_rows(), 64U + later) << "evicted rows kept for the read";
+    ASSERT_TRUE(m.last_fit().has_value());
+    EXPECT_EQ(m.last_fit()->coefficients, ref.fit().coefficients) << later;
+    EXPECT_EQ(m.last_fit()->r_squared, ref.fit().r_squared) << later;
+    EXPECT_EQ(m.last_fit()->rmse, ref.fit().rmse) << later;
+    EXPECT_EQ(m.last_fit()->mape, ref.fit().mape) << later;
+    // Once read, the next eviction releases the kept rows.
+    const auto [f, y] = stream.next();
+    m.observe(f, y);
+    EXPECT_EQ(m.stored_rows(), 64U);
+  }
+}
+
+TEST(QrsmLazyQualityTest, CopyWhilePendingReadsIdenticalValues) {
+  QrsmModel model({.refit_interval = 32, .window = 256});
+  QrsmStream stream;
+  for (int i = 0; i < 300; ++i) {  // refit at 288, then 12 evictions
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+  }
+  QrsmModel copy = model;
+  for (int i = 0; i < 10; ++i) {  // the original moves on, short of a refit
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+  }
+  ASSERT_TRUE(copy.last_fit().has_value());
+  ASSERT_TRUE(model.last_fit().has_value());
+  EXPECT_EQ(copy.last_fit()->coefficients, model.last_fit()->coefficients);
+  EXPECT_EQ(copy.last_fit()->r_squared, model.last_fit()->r_squared);
+  EXPECT_EQ(copy.last_fit()->rmse, model.last_fit()->rmse);
+  EXPECT_EQ(copy.last_fit()->mape, model.last_fit()->mape);
+}
+
+TEST(QrsmLazyQualityTest, WindowTooSmallToFitKeepsABoundedBuffer) {
+  // 40 rows never reach the 56 a quadratic fit needs: every refit fails,
+  // and nothing is kept beyond the window.
+  QrsmModel model({.refit_interval = 8, .window = 40});
+  QrsmStream stream;
+  for (int i = 0; i < 500; ++i) {
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    ASSERT_LE(model.stored_rows(), 40U) << "observation " << i;
+  }
+  EXPECT_FALSE(model.is_fitted());
+  EXPECT_FALSE(model.last_fit().has_value());
+  EXPECT_EQ(model.buffered(), 40U);
+}
+
+TEST(QrsmLazyQualityTest, UnreadQualityKeepsAtMostOneRefitIntervalOfRows) {
+  QrsmModel model({.refit_interval = 32, .window = 128});
+  QrsmStream stream;
+  for (int i = 0; i < 2000; ++i) {
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    ASSERT_LE(model.stored_rows(), 128U + 32U) << "observation " << i;
+  }
+  EXPECT_EQ(model.buffered(), 128U);
+}
+
 TEST(QrsmIncrementalTest, PerClassEstimatorTracksReferencePerClass) {
   PerClassQrsmEstimator::Config cfg;
   cfg.model = {.refit_interval = 32, .window = 256};
