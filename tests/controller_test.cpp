@@ -211,6 +211,29 @@ TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {
   EXPECT_GT(ctl.push_outs() + ctl.pull_backs(), 0u);
 }
 
+TEST(ControllerTest, PullBackDisarmsTheRetractionDeadline) {
+  Rig rig;
+  auto cfg = Rig::config(SchedulerKind::kGreedy);
+  cfg.enable_rescheduler = true;
+  // A patient deadline: every pulled-back job finishes on IC long before
+  // its burst's deadline would fire, and finished jobs leave the table.
+  cfg.faults.retraction_deadline_factor = 1000.0;
+  // The prior says the pipe is fast, so Greedy bursts freely; the first
+  // uploads teach it the pipe is slow, and idle IC machines pull the
+  // still-queued uploads back.
+  cfg.uplink.base_rate = 0.2e6;
+  cfg.uplink.per_connection_cap = 0.2e6;
+  cfg.downlink = cfg.uplink;
+  cfg.bandwidth_estimator.prior_rate = 5.0e6;
+  CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(13));
+  ctl.on_batch(rig.batch(0, std::vector<double>(12, 20.0)));
+  rig.sim.run();
+  EXPECT_GT(ctl.pull_backs(), 0u);
+  EXPECT_EQ(ctl.retractions(), 0u);
+  EXPECT_EQ(ctl.outstanding_jobs(), 0u);
+  EXPECT_EQ(cbs::sla::validate_outcomes(ctl.outcomes()), "");
+}
+
 TEST(ControllerTest, ChunkedJobsGetFreshSeqAndDocIds) {
   Rig rig;
   auto cfg = Rig::config(SchedulerKind::kOrderPreserving);
