@@ -25,12 +25,24 @@ void FitQuality::finish(FitResult& fit) const {
   fit.mape = ape_n_ == 0 ? 0.0 : ape_sum_ / static_cast<double>(ape_n_);
 }
 
+bool solve_ridge_normal_in_place(double* gram, std::size_t n, std::size_t ld,
+                                 double lambda, double* x) {
+  assert(lambda >= 0.0);
+  for (std::size_t i = 0; i < n; ++i) gram[i * ld + i] += lambda;
+  if (!cholesky_in_place(gram, n, ld)) return false;
+  cholesky_solve_in_place(gram, n, ld, x);
+  return true;
+}
+
 std::optional<Vector> solve_ridge_normal(Matrix gram, const Vector& rhs,
                                          double lambda) {
   assert(gram.rows() == gram.cols() && gram.rows() == rhs.size());
-  assert(lambda >= 0.0);
-  for (std::size_t i = 0; i < gram.rows(); ++i) gram(i, i) += lambda;
-  return solve_spd(gram, rhs);
+  Vector x = rhs;
+  if (!solve_ridge_normal_in_place(gram.row_data(0), gram.rows(), gram.cols(),
+                                   lambda, x.data())) {
+    return std::nullopt;
+  }
+  return x;
 }
 
 FitResult ridge_least_squares(const Matrix& a, const Vector& b, double lambda) {

@@ -40,9 +40,18 @@ class FitQuality {
 
 /// Solves the ridge normal equations (G + λI)·x = c by Cholesky, for
 /// callers that keep G = AᵀA and c = Aᵀb themselves instead of a design
-/// matrix. std::nullopt when G + λI is not (numerically) positive
-/// definite; the caller then builds A and uses ridge_least_squares, whose
-/// QR fallback handles that case.
+/// matrix. In place on caller storage, allocating nothing: G is the upper
+/// triangle of the row-major n×n array at `gram` (row stride `ld`), which
+/// the factorization overwrites; `x` holds c on entry and x on success.
+/// Returns false when G + λI is not (numerically) positive definite; the
+/// caller then builds A and uses ridge_least_squares, whose QR fallback
+/// handles that case.
+[[nodiscard]] bool solve_ridge_normal_in_place(double* gram, std::size_t n,
+                                               std::size_t ld, double lambda,
+                                               double* x);
+
+/// solve_ridge_normal_in_place on a symmetric Matrix and a Vector;
+/// std::nullopt when G + λI is not (numerically) positive definite.
 [[nodiscard]] std::optional<Vector> solve_ridge_normal(Matrix gram,
                                                        const Vector& rhs,
                                                        double lambda);

@@ -45,10 +45,10 @@ class Matrix {
   Matrix& operator*=(double s);
 
   /// A^T * A — the Gram matrix of the design matrix, computed without
-  /// materializing the transpose.
+  /// materializing the transpose (gram_accumulate, then the mirror).
   [[nodiscard]] Matrix gram() const;
 
-  /// A^T * y for the normal equations.
+  /// A^T * y for the normal equations (moment_accumulate).
   [[nodiscard]] Vector transpose_times(const Vector& y) const;
 
   /// Frobenius norm.
@@ -61,6 +61,27 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// The Gram kernel: G += Σₖ sₖ·xₖ·xₖᵀ over the `count` rows xₖ of length
+/// `n` at `rows` (row k starts at rows + k·row_stride), with sₖ = sign[k],
+/// or 1 when `sign` is null. Matrix::gram() and the QRSM's sufficient
+/// statistics both go through it.
+///
+/// Only the upper triangle (j ≥ i) of G, row-major at `gram` with row
+/// stride `gram_stride`, is defined afterwards; entries below the diagonal
+/// are scratch. Each entry adds its terms (sₖxₖᵢ)·xₖⱼ one by one in row
+/// order, skipping rows whose xₖᵢ is 0, exactly as the scalar loop
+///   for k: for i: if (xₖᵢ != 0) for j ≥ i: G[i][j] += (sₖxₖᵢ)·xₖⱼ
+/// does, so any blocking of the calls over rows gives the same bits.
+void gram_accumulate(const double* rows, std::size_t row_stride,
+                     std::size_t count, std::size_t n, const double* sign,
+                     double* gram, std::size_t gram_stride);
+
+/// out += Σₖ xₖ·wₖ over the same row layout, skipping rows whose weight
+/// wₖ = weight[k] is 0; each entry adds its terms in row order.
+void moment_accumulate(const double* rows, std::size_t row_stride,
+                       std::size_t count, std::size_t n, const double* weight,
+                       double* out);
 
 /// Euclidean norm of a vector.
 [[nodiscard]] double norm(const Vector& v);

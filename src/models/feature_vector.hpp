@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "linalg/simd.hpp"
 #include "workload/document.hpp"
 
 namespace cbs::models {
@@ -55,19 +56,41 @@ struct FeatureScaler {
   template <typename Range, typename RawOf>
   static FeatureScaler fit(const Range& rows, RawOf raw_of);
 
+  /// Same, also calling `visit(row)` on every row, in range order, during
+  /// the first pass, so a caller's own per-row sums cost no extra pass.
+  template <typename Range, typename RawOf, typename Visit>
+  static FeatureScaler fit(const Range& rows, RawOf raw_of, Visit visit);
+
   [[nodiscard]] std::array<double, kNumRawFeatures> apply(
       const std::array<double, kNumRawFeatures>& x) const;
 };
 
 template <typename Range, typename RawOf>
 FeatureScaler FeatureScaler::fit(const Range& rows, RawOf raw_of) {
-  // Sums go to locals (not the returned object, which the compiler must
-  // assume aliases the rows) so they stay in registers.
-  std::array<double, kNumRawFeatures> sum{};
+  return fit(rows, raw_of, [](const auto&) {});
+}
+
+template <typename Range, typename RawOf, typename Visit>
+FeatureScaler FeatureScaler::fit(const Range& rows, RawOf raw_of, Visit visit) {
+  // One lane per feature, each lane's sum in row order, so the bits are
+  // those of a scalar loop per feature. The lanes live in named locals:
+  // at -O2 an array of accumulators indexed in a loop stays in memory,
+  // and these passes run over the whole QRSM window at every refit.
+  static_assert(kNumRawFeatures == 8, "the passes below hold eight lanes");
+  using cbs::linalg::simd::load2;
+  using cbs::linalg::simd::V2;
+  V2 s0{};
+  V2 s1{};
+  V2 s2{};
+  V2 s3{};
   std::size_t count = 0;
   for (const auto& r : rows) {
-    const std::array<double, kNumRawFeatures>& x = raw_of(r);
-    for (std::size_t i = 0; i < kNumRawFeatures; ++i) sum[i] += x[i];
+    const double* x = raw_of(r).data();
+    s0 += load2(x);
+    s1 += load2(x + 2);
+    s2 += load2(x + 4);
+    s3 += load2(x + 6);
+    visit(r);
     ++count;
   }
   FeatureScaler s;
@@ -75,19 +98,30 @@ FeatureScaler FeatureScaler::fit(const Range& rows, RawOf raw_of) {
   if (count == 0) return s;
 
   const auto n = static_cast<double>(count);
-  for (std::size_t i = 0; i < kNumRawFeatures; ++i) s.mean[i] = sum[i] / n;
-
-  const std::array<double, kNumRawFeatures> mean = s.mean;
-  std::array<double, kNumRawFeatures> var{};
+  const V2 m0 = s0 / n;
+  const V2 m1 = s1 / n;
+  const V2 m2 = s2 / n;
+  const V2 m3 = s3 / n;
+  V2 v0{};
+  V2 v1{};
+  V2 v2{};
+  V2 v3{};
   for (const auto& r : rows) {
-    const std::array<double, kNumRawFeatures>& x = raw_of(r);
-    for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-      const double d = x[i] - mean[i];
-      var[i] += d * d;
-    }
+    const double* x = raw_of(r).data();
+    const V2 d0 = load2(x) - m0;
+    const V2 d1 = load2(x + 2) - m1;
+    const V2 d2 = load2(x + 4) - m2;
+    const V2 d3 = load2(x + 6) - m3;
+    v0 += d0 * d0;
+    v1 += d1 * d1;
+    v2 += d2 * d2;
+    v3 += d3 * d3;
   }
+  const std::array<V2, 4> means = {m0, m1, m2, m3};
+  const std::array<V2, 4> vars = {v0, v1, v2, v3};
   for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
-    const double sd = std::sqrt(var[i] / n);
+    s.mean[i] = means[i / 2][i % 2];
+    const double sd = std::sqrt(vars[i / 2][i % 2] / n);
     s.scale[i] = sd > 1e-12 ? sd : 1.0;
   }
   return s;

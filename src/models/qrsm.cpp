@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <cassert>
 
+#include "linalg/matrix.hpp"
+#include "linalg/simd.hpp"
+
 namespace cbs::models {
 
 using cbs::linalg::Matrix;
 using cbs::linalg::Vector;
+using cbs::linalg::simd::load2;
+using cbs::linalg::simd::store2;
+using cbs::linalg::simd::V2;
 
 namespace {
 
@@ -59,6 +65,14 @@ std::array<MapRow, kDim> frame_map(const Raw& alpha, const Raw& beta) {
   return t;
 }
 
+/// One row for QrsmModel::fold: an example's raw features and runtime,
+/// with the sign it enters the statistics with.
+struct SignedRow {
+  const Raw& raw;
+  double y;
+  double sign;
+};
+
 double dot_row(const std::array<double, kDim>& row, const Vector& coef) {
   double acc = 0.0;
   for (std::size_t j = 0; j < kDim; ++j) acc += row[j] * coef[j];
@@ -81,6 +95,7 @@ void QrsmModel::fit(const std::vector<cbs::workload::DocumentFeatures>& features
   buffer_.clear();
   retired_ = 0;
   has_frame_ = false;
+  pending_count_ = 0;
   for (std::size_t i = 0; i < features.size(); ++i) {
     buffer_.push_back(Example{extract_raw(features[i]), runtimes[i]});
     if (config_.window > 0 && buffer_.size() > config_.window) buffer_.pop_front();
@@ -95,11 +110,11 @@ void QrsmModel::observe(const cbs::workload::DocumentFeatures& features,
   assert(runtime >= 0.0);
   buffer_.push_back(Example{extract_raw(features), runtime});
   if (has_frame_) {
-    accumulate(buffer_.back(), 1.0);
+    record_pending(buffer_.back(), 1.0);
     ++updates_since_rebuild_;
   }
   if (config_.window > 0 && buffered() > config_.window) {
-    if (has_frame_) accumulate(buffer_[retired_], -1.0);
+    if (has_frame_) record_pending(buffer_[retired_], -1.0);
     ++retired_;
     if (!quality_pending_) drop_retired();
   }
@@ -109,33 +124,63 @@ void QrsmModel::observe(const cbs::workload::DocumentFeatures& features,
   }
 }
 
-void QrsmModel::accumulate(const Example& ex, double sign) {
-  // Same per-entry order as Matrix::gram / transpose_times, so a rebuild
-  // reproduces the design-matrix Gram bit for bit; sign is ±1, so adding
-  // (−a)·r is exactly subtracting a·r.
-  const auto row = quadratic_expand(frame_.apply(ex.raw));
-  for (std::size_t i = 0; i < kDim; ++i) {
-    if (row[i] == 0.0) continue;
-    const double a = sign * row[i];
-    double* s = xtx_.data() + i * kDim;
-    for (std::size_t j = i; j < kDim; ++j) s[j] += a * row[j];
+void QrsmModel::record_pending(const Example& ex, double sign) {
+  if (pending_count_ == kMaxPendingRows) fold_pending();
+  pending_[pending_count_++] = PendingRow{ex, sign};
+}
+
+template <typename RowAt>
+void QrsmModel::fold(std::size_t count, RowAt row_at) {
+  // Expands the rows in the reference frame into a padded block on the
+  // stack (32 rows, 12 KB) and hands each block to the Gram kernel. The
+  // kernel keeps every entry's terms in row order and skips a zero φᵢ
+  // (and the moment sum a zero y), so the statistics are what adding
+  // (sign = +1) or subtracting (sign = −1) one row at a time in this
+  // order gives: (−a)·r is exactly −(a·r).
+  constexpr std::size_t kBlock = 32;
+  std::array<double, kBlock * kStride> rows;  // rows [0, m) written below
+  std::array<double, kBlock> sign;
+  std::array<double, kBlock> weight;
+  for (std::size_t k0 = 0; k0 < count; k0 += kBlock) {
+    const std::size_t m = std::min(kBlock, count - k0);
+    for (std::size_t r = 0; r < m; ++r) {
+      const SignedRow row = row_at(k0 + r);
+      const auto phi = quadratic_expand(frame_.apply(row.raw));
+      double* dst = rows.data() + r * kStride;
+      std::copy(phi.begin(), phi.end(), dst);
+      std::fill(dst + kDim, dst + kStride, 0.0);
+      sign[r] = row.sign;
+      weight[r] = row.sign * row.y;
+    }
+    cbs::linalg::gram_accumulate(rows.data(), kStride, m, kStride, sign.data(),
+                                 xtx_.data(), kStride);
+    cbs::linalg::moment_accumulate(rows.data(), kStride, m, kStride,
+                                   weight.data(), xty_.data());
   }
-  if (ex.y == 0.0) return;
-  const double w = sign * ex.y;
-  for (std::size_t c = 0; c < kDim; ++c) xty_[c] += row[c] * w;
+}
+
+void QrsmModel::fold_pending() {
+  fold(pending_count_, [this](std::size_t k) {
+    const PendingRow& p = pending_[k];
+    return SignedRow{p.ex.raw, p.ex.y, p.sign};
+  });
+  pending_count_ = 0;
 }
 
 void QrsmModel::rebuild_statistics() {
   frame_ = scaler_;
   xtx_.fill(0.0);
   xty_.fill(0.0);
-  for (const Example& ex : buffer_) accumulate(ex, 1.0);
+  fold(buffer_.size(), [this](std::size_t k) {
+    return SignedRow{buffer_[k].raw, buffer_[k].y, 1.0};
+  });
   has_frame_ = true;
   rows_at_rebuild_ = buffer_.size();
   updates_since_rebuild_ = 0;
+  pending_count_ = 0;  // already in the rebuilt statistics
 }
 
-std::optional<Vector> QrsmModel::solve_from_statistics() const {
+bool QrsmModel::solve_from_statistics(std::array<double, kDim>& x) {
   // z = (x − m)/s = αu + β with u = (x − m₀)/s₀, so φ(z) = T·φ(u) and the
   // normal equations in the z frame are G = T S Tᵀ, c = T b.
   Raw alpha{};
@@ -146,38 +191,53 @@ std::optional<Vector> QrsmModel::solve_from_statistics() const {
   }
   const std::array<MapRow, kDim> t = frame_map(alpha, beta);
 
-  // M = T S (row p of M mixes at most four rows of S), then G = M Tᵀ.
-  Matrix full(kDim, kDim);  // S with its lower triangle mirrored
+  // S in full: the lower triangle of xtx_ is scratch, so mirror into it.
   for (std::size_t a = 0; a < kDim; ++a) {
-    for (std::size_t b = a; b < kDim; ++b) {
-      full(a, b) = full(b, a) = xtx_[a * kDim + b];
+    for (std::size_t b = a + 1; b < kDim; ++b) {
+      xtx_[b * kStride + a] = xtx_[a * kStride + b];
     }
   }
-  Matrix m(kDim, kDim);
+  // G = M Tᵀ with M = T S, a row at a time: row p of M mixes at most four
+  // rows of S, and row p of G reads row p of M only. Each entry of M is
+  // 0 + w₀·s₀ + w₁·s₁ + … in T's term order, eight entries at a time in
+  // registers (S's zero padding makes the last lanes zero).
+  static_assert(kStride % 8 == 0);
+  std::array<double, kDim * kStride> g;  // G's upper triangle
+  std::array<double, kStride> mp;
   for (std::size_t p = 0; p < kDim; ++p) {
-    double* mp = m.row_data(p);
-    for (std::size_t k = 0; k < t[p].size; ++k) {
-      const double* sa = full.row_data(t[p].col[k]);
-      const double w = t[p].coef[k];
-      for (std::size_t b = 0; b < kDim; ++b) mp[b] += w * sa[b];
+    for (std::size_t b = 0; b < kStride; b += 8) {
+      V2 m0{};
+      V2 m1{};
+      V2 m2{};
+      V2 m3{};
+      for (std::size_t k = 0; k < t[p].size; ++k) {
+        const double* sa = xtx_.data() + t[p].col[k] * kStride + b;
+        const double w = t[p].coef[k];
+        m0 += w * load2(sa);
+        m1 += w * load2(sa + 2);
+        m2 += w * load2(sa + 4);
+        m3 += w * load2(sa + 6);
+      }
+      store2(mp.data() + b, m0);
+      store2(mp.data() + b + 2, m1);
+      store2(mp.data() + b + 4, m2);
+      store2(mp.data() + b + 6, m3);
     }
-  }
-  Matrix& g = full;  // S is no longer needed
-  Vector c(kDim, 0.0);
-  for (std::size_t p = 0; p < kDim; ++p) {
     for (std::size_t q = p; q < kDim; ++q) {
       double acc = 0.0;
       for (std::size_t k = 0; k < t[q].size; ++k) {
-        acc += t[q].coef[k] * m(p, t[q].col[k]);
+        acc += t[q].coef[k] * mp[t[q].col[k]];
       }
-      g(p, q) = g(q, p) = acc;
+      g[p * kStride + q] = acc;
     }
+    double c = 0.0;
     for (std::size_t k = 0; k < t[p].size; ++k) {
-      c[p] += t[p].coef[k] * xty_[t[p].col[k]];
+      c += t[p].coef[k] * xty_[t[p].col[k]];
     }
+    x[p] = c;
   }
-  return cbs::linalg::solve_ridge_normal(std::move(g), c,
-                                         config_.ridge_lambda);
+  return cbs::linalg::solve_ridge_normal_in_place(
+      g.data(), kDim, kStride, config_.ridge_lambda, x.data());
 }
 
 cbs::linalg::FitResult QrsmModel::fit_from_design_matrix() const {
@@ -195,29 +255,37 @@ void QrsmModel::refit() {
   since_refit_ = 0;
   // Require modest oversampling before trusting a quadratic surface.
   // (A quality is pending only after a refit that had enough rows, and
-  // the window never shrinks between refits, so nothing is kept here.)
+  // the window never shrinks between refits, so nothing is kept here;
+  // nor is anything pending before the first refit that has enough rows.)
   if (buffered() < kDim + kDim / 4) return;
+  assert(has_frame_ || pending_count_ == 0);
   drop_retired();  // the previous fit's quality, if still pending, is moot
 
-  scaler_ = FeatureScaler::fit(
-      buffer_, [](const Example& ex) -> const Raw& { return ex.raw; });
   double runtime_sum = 0.0;
-  for (const Example& ex : buffer_) runtime_sum += ex.y;
+  scaler_ = FeatureScaler::fit(
+      buffer_, [](const Example& ex) -> const Raw& { return ex.raw; },
+      [&runtime_sum](const Example& ex) { runtime_sum += ex.y; });
   mean_runtime_ = runtime_sum / static_cast<double>(buffer_.size());
 
   if (!has_frame_ || updates_since_rebuild_ >= rows_at_rebuild_) {
     rebuild_statistics();
+  } else {
+    fold_pending();
   }
-  auto coefficients = solve_from_statistics();
-  if (!coefficients) {
+  std::array<double, kDim> x;
+  if (!solve_from_statistics(x)) {
     fit_ = fit_from_design_matrix();  // reports its quality itself
     quality_pending_ = false;
     return;
   }
 
-  cbs::linalg::FitResult fit;
-  fit.coefficients = std::move(*coefficients);
-  fit_ = std::move(fit);
+  // Reuses the previous fit's coefficient storage: no allocation.
+  if (!fit_) fit_.emplace();
+  fit_->coefficients.assign(x.begin(), x.end());
+  fit_->r_squared = 0.0;
+  fit_->rmse = 0.0;
+  fit_->mape = 0.0;
+  fit_->used_qr_fallback = false;
   quality_pending_ = true;
   quality_rows_ = buffer_.size();
 }

@@ -33,6 +33,13 @@ namespace cbs::models {
 /// folded in incrementally as the window held at the last rebuild — which
 /// bounds drift at an amortized O(dim²) per observation.
 ///
+/// observe() only records the new and the evicted row; the refit folds
+/// those signed rows into S and b in one pass of the Gram kernel
+/// (linalg::gram_accumulate), in observation order, so every entry sums
+/// the same terms in the same order as an add-and-subtract per
+/// observation would. A refit that rebuilds drops them unfolded. The solve
+/// runs on fixed-size storage: a refit allocates nothing.
+///
 /// Fit quality (r², rmse, mape) is an O(window · dim) pass that only
 /// reports read, so a refit leaves it pending and the first last_fit()
 /// after the refit computes it over that refit's window, in the same row
@@ -82,6 +89,14 @@ class QrsmModel {
   [[nodiscard]] std::size_t stored_rows() const noexcept {
     return buffer_.size();
   }
+  /// Signed rows recorded since the statistics were last folded: at most
+  /// two per observation since the last refit (the new and the evicted
+  /// row), and never more than kMaxPendingRows.
+  [[nodiscard]] std::size_t pending_rows() const noexcept {
+    return pending_count_;
+  }
+  /// Capacity of the pending-row store; a full store is folded at once.
+  static constexpr std::size_t kMaxPendingRows = 64;
 
   /// Forces a refit on the current buffer (no-op when data is insufficient).
   void refit();
@@ -92,16 +107,33 @@ class QrsmModel {
     double y;
   };
 
-  /// Adds (sign = +1) or removes (sign = −1) one example's row of the
-  /// sufficient statistics, expanded in the reference frame.
-  void accumulate(const Example& ex, double sign);
+  /// An example to add to (sign = +1) or remove from (sign = −1) the
+  /// sufficient statistics at the next fold.
+  struct PendingRow {
+    Example ex;
+    double sign;
+  };
+  /// Row stride of the statistics: the design row padded to a multiple of
+  /// four, the Gram kernel's block width (the padding stays zero).
+  static constexpr std::size_t kStride = (kQuadraticDim + 3) / 4 * 4;
+
+  /// Records a signed row for the next fold (folding first if full).
+  void record_pending(const Example& ex, double sign);
+  /// Folds `count` signed rows, row_at(k) for k = 0, 1, …, into the
+  /// statistics in the reference frame, in that order.
+  template <typename RowAt>
+  void fold(std::size_t count, RowAt row_at);
+  /// Folds the pending rows into the statistics, in recording order.
+  void fold_pending();
   /// Recomputes the statistics exactly from the buffer in the frame of
-  /// `scaler_`, which becomes the new reference frame.
+  /// `scaler_`, which becomes the new reference frame; pending rows are
+  /// dropped.
   void rebuild_statistics();
-  /// Solves the ridge system mapped into the `scaler_` frame; std::nullopt
-  /// when Cholesky fails.
-  [[nodiscard]] std::optional<cbs::linalg::Vector> solve_from_statistics()
-      const;
+  /// Solves the ridge system mapped into the `scaler_` frame into `x`;
+  /// false when Cholesky fails. Overwrites the scratch lower triangle of
+  /// the statistics.
+  [[nodiscard]] bool solve_from_statistics(
+      std::array<double, kQuadraticDim>& x);
   /// Computes a pending fit quality: r², rmse and mape of `fit_` over the
   /// first `quality_rows_` stored rows (FitQuality's formulas).
   void settle_quality() const;
@@ -131,8 +163,15 @@ class QrsmModel {
   FeatureScaler frame_;  ///< the reference frame u = (x − m₀)/s₀
   std::size_t rows_at_rebuild_ = 0;
   std::size_t updates_since_rebuild_ = 0;
-  std::array<double, kQuadraticDim * kQuadraticDim> xtx_{};  ///< upper triangle
-  std::array<double, kQuadraticDim> xty_{};
+  std::array<PendingRow, kMaxPendingRows> pending_{};
+  std::size_t pending_count_ = 0;
+  /// S, row-major with rows of kStride: the upper triangle. Below the
+  /// diagonal is scratch (the Gram kernel's diagonal blocks, the solve's
+  /// mirror); the padding columns hold the zero padding of φ's products.
+  /// Rows start on 16 bytes, so the kernels' two-lane loads never split a
+  /// cache line (alignas up to max_align_t keeps plain operator new).
+  alignas(16) std::array<double, kStride * kStride> xtx_{};
+  std::array<double, kStride> xty_{};
 };
 
 }  // namespace cbs::models

@@ -1,9 +1,15 @@
 #include "workload/trace.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace cbs::workload::trace {
 
@@ -12,13 +18,6 @@ namespace {
 constexpr std::string_view kHeader =
     "batch,arrival_time,doc_id,type,size_mb,pages,num_images,avg_image_mb,"
     "resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb";
-
-JobType job_type_from(const std::string& name) {
-  for (JobType t : kAllJobTypes) {
-    if (to_string(t) == name) return t;
-  }
-  throw std::runtime_error("trace: unknown job type '" + name + "'");
-}
 
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> fields;
@@ -29,23 +28,68 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return fields;
 }
 
-double to_double(const std::string& s) {
-  std::size_t pos = 0;
-  const double v = std::stod(s, &pos);
-  if (pos != s.size()) throw std::runtime_error("trace: bad number '" + s + "'");
-  return v;
-}
+/// Parses the fields of one data row; every error names the line.
+class RowParser {
+ public:
+  RowParser(const std::vector<std::string>& fields, std::size_t line_no)
+      : fields_(fields), line_no_(line_no) {}
 
-int to_int(const std::string& s) {
-  std::size_t pos = 0;
-  const int v = std::stoi(s, &pos);
-  if (pos != s.size()) throw std::runtime_error("trace: bad integer '" + s + "'");
-  return v;
-}
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("trace: line " + std::to_string(line_no_) + ": " +
+                             what);
+  }
+
+  /// A finite, nonnegative number: times, sizes and every feature.
+  double quantity(std::size_t column, std::string_view name) const {
+    const std::string& s = fields_[column];
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || end != s.data() + s.size()) {
+      fail("bad number '" + s + "' for " + std::string(name));
+    }
+    if (!std::isfinite(v)) {
+      fail(std::string(name) + " is not finite: '" + s + "'");
+    }
+    if (v < 0.0) fail(std::string(name) + " is negative: '" + s + "'");
+    return v;
+  }
+
+  /// A nonnegative integer that fits T: batch indices, ids and counts.
+  template <typename T>
+  T count(std::size_t column, std::string_view name) const {
+    const std::string& s = fields_[column];
+    if (!s.empty() && s.front() == '-') {
+      fail(std::string(name) + " is negative: '" + s + "'");
+    }
+    T v{};
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      fail(std::string(name) + " is out of range: '" + s + "'");
+    }
+    if (ec != std::errc{} || end != s.data() + s.size()) {
+      fail("bad integer '" + s + "' for " + std::string(name));
+    }
+    return v;
+  }
+
+  JobType job_type(std::size_t column) const {
+    for (JobType t : kAllJobTypes) {
+      if (to_string(t) == fields_[column]) return t;
+    }
+    fail("unknown job type '" + fields_[column] + "'");
+  }
+
+ private:
+  const std::vector<std::string>& fields_;
+  std::size_t line_no_;
+};
 
 }  // namespace
 
 std::size_t write(std::ostream& out, const std::vector<Batch>& batches) {
+  // Enough digits that read() recovers every double exactly.
+  const auto old_precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << kHeader << "\n";
   std::size_t rows = 0;
   for (const Batch& b : batches) {
@@ -59,6 +103,7 @@ std::size_t write(std::ostream& out, const std::vector<Batch>& batches) {
       ++rows;
     }
   }
+  out.precision(old_precision);
   return rows;
 }
 
@@ -87,23 +132,26 @@ std::vector<Batch> read(std::istream& in) {
                                ": expected 13 fields, got " +
                                std::to_string(fields.size()));
     }
-    const auto batch_index = static_cast<std::size_t>(to_int(fields[0]));
-    Batch& batch = by_index[batch_index];
-    batch.batch_index = batch_index;
-    batch.arrival_time = to_double(fields[1]);
+    const RowParser row(fields, line_no);
+    const auto batch_index = row.count<std::size_t>(0, "batch");
+    const double arrival_time = row.quantity(1, "arrival_time");
 
     Document d;
-    d.doc_id = static_cast<std::uint64_t>(to_int(fields[2]));
-    d.features.type = job_type_from(fields[3]);
-    d.features.size_mb = to_double(fields[4]);
-    d.features.pages = to_int(fields[5]);
-    d.features.num_images = to_int(fields[6]);
-    d.features.avg_image_mb = to_double(fields[7]);
-    d.features.resolution_dpi = to_double(fields[8]);
-    d.features.color_fraction = to_double(fields[9]);
-    d.features.text_ratio = to_double(fields[10]);
-    d.features.coverage = to_double(fields[11]);
-    d.output_size_mb = to_double(fields[12]);
+    d.doc_id = row.count<std::uint64_t>(2, "doc_id");
+    d.features.type = row.job_type(3);
+    d.features.size_mb = row.quantity(4, "size_mb");
+    d.features.pages = row.count<int>(5, "pages");
+    d.features.num_images = row.count<int>(6, "num_images");
+    d.features.avg_image_mb = row.quantity(7, "avg_image_mb");
+    d.features.resolution_dpi = row.quantity(8, "resolution_dpi");
+    d.features.color_fraction = row.quantity(9, "color_fraction");
+    d.features.text_ratio = row.quantity(10, "text_ratio");
+    d.features.coverage = row.quantity(11, "coverage");
+    d.output_size_mb = row.quantity(12, "output_size_mb");
+
+    Batch& batch = by_index[batch_index];
+    batch.batch_index = batch_index;
+    batch.arrival_time = arrival_time;
     batch.documents.push_back(d);
   }
 
@@ -121,7 +169,6 @@ std::vector<Batch> read_file(const std::string& path) {
 
 std::vector<Batch> round_trip(const std::vector<Batch>& batches) {
   std::stringstream ss;
-  ss.precision(17);
   write(ss, batches);
   return read(ss);
 }

@@ -17,14 +17,19 @@ namespace cbs::workload {
 ///   resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb
 namespace trace {
 
-/// Writes batches to a stream. Returns the number of document rows written.
+/// Writes batches to a stream, every number with enough digits to read
+/// back exactly (the stream's precision is restored afterwards). Returns
+/// the number of document rows written.
 std::size_t write(std::ostream& out, const std::vector<Batch>& batches);
 
 /// Writes batches to a file. Throws std::runtime_error on I/O failure.
 std::size_t write_file(const std::string& path, const std::vector<Batch>& batches);
 
-/// Parses batches from a stream. Throws std::runtime_error on malformed
-/// input (wrong column count, non-numeric fields, unknown job type).
+/// Parses batches from a stream. Throws std::runtime_error, naming the
+/// line ("trace: line N: ..."), on malformed input: a wrong column count,
+/// a non-numeric field, an unknown job type, a time or feature that is
+/// NaN, infinite or negative, or a batch index, id or count that is
+/// negative or out of range.
 [[nodiscard]] std::vector<Batch> read(std::istream& in);
 
 /// Parses batches from a file. Throws std::runtime_error on I/O failure.

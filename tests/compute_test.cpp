@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "compute/cluster.hpp"
@@ -435,17 +436,31 @@ TEST(JobStoreRetryTest, GetRetriesThroughOutage) {
   EXPECT_GT(store.failed_attempts(), 0u);
 }
 
-TEST(JobStoreTest, HistoryRecordsTransitions) {
+TEST(JobStoreTest, OccupancyTracksTransitions) {
+  // Read at scheduled times: nothing before the put at 5, 10 bytes from
+  // then until the erase at 9, nothing after; the peak keeps the 10.
   Simulation sim;
   JobStore store(sim);
-  sim.schedule_at(5.0, [&] { store.put("a", 10.0); });
-  sim.schedule_at(9.0, [&] { store.erase("a"); });
+  std::vector<std::pair<double, double>> seen;  // (time, occupancy)
+  const auto sample = [&] {
+    seen.emplace_back(sim.now(), store.occupancy_bytes());
+  };
+  sim.schedule_at(4.0, sample);
+  sim.schedule_at(5.0, [&] {
+    store.put("a", 10.0);
+    sample();
+  });
+  sim.schedule_at(7.0, sample);
+  sim.schedule_at(9.0, [&] {
+    store.erase("a");
+    sample();
+  });
   sim.run();
-  const auto& h = store.occupancy_history();
-  ASSERT_EQ(h.size(), 2u);
-  EXPECT_DOUBLE_EQ(h.at(0).time, 5.0);
-  EXPECT_DOUBLE_EQ(h.at(0).value, 10.0);
-  EXPECT_DOUBLE_EQ(h.at(1).value, 0.0);
+  const std::vector<std::pair<double, double>> want = {
+      {4.0, 0.0}, {5.0, 10.0}, {7.0, 10.0}, {9.0, 0.0}};
+  EXPECT_EQ(seen, want);
+  EXPECT_DOUBLE_EQ(store.peak_occupancy_bytes(), 10.0);
+  EXPECT_DOUBLE_EQ(store.occupancy_byte_seconds(), 40.0);  // 10 B × 4 s
 }
 
 }  // namespace

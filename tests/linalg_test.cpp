@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/least_squares.hpp"
@@ -121,6 +125,259 @@ TEST(CholeskyTest, SolveRoundTrip) {
   const auto x = solve_spd(a, rhs);
   ASSERT_TRUE(x.has_value());
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR((*x)[i], x_true[i], 1e-9);
+}
+
+// ---- The Gram and Cholesky kernels against the scalar loops ------------
+//
+// The kernels run independent sums side by side; each sum must still add
+// (or subtract) its terms in the scalar loop's order, so the comparisons
+// below are exact (EXPECT_EQ on doubles), not within a tolerance.
+
+/// Random rows with about one value in five exactly zero (the skip).
+std::vector<double> random_rows(cbs::sim::RngStream& rng, std::size_t count,
+                                std::size_t n, std::size_t stride) {
+  std::vector<double> rows(count * stride, 0.0);
+  for (std::size_t k = 0; k < count; ++k) {
+    for (std::size_t j = 0; j < n; ++j) {
+      rows[k * stride + j] =
+          rng.uniform(0.0, 1.0) < 0.2 ? 0.0 : rng.uniform(-3.0, 3.0);
+    }
+  }
+  return rows;
+}
+
+/// The row-at-a-time rank-1 update the Gram kernel must reproduce.
+void reference_gram(const std::vector<double>& rows, std::size_t stride,
+                    std::size_t count, std::size_t n,
+                    const std::vector<double>* sign, std::vector<double>& g,
+                    std::size_t ld) {
+  for (std::size_t k = 0; k < count; ++k) {
+    const double* x = rows.data() + k * stride;
+    const double s = sign == nullptr ? 1.0 : (*sign)[k];
+    for (std::size_t i = 0; i < n; ++i) {
+      if (x[i] == 0.0) continue;
+      const double a = s * x[i];
+      for (std::size_t j = i; j < n; ++j) g[i * ld + j] += a * x[j];
+    }
+  }
+}
+
+TEST(GramKernelTest, MatchesRowByRowUpdateBitForBit) {
+  cbs::sim::RngStream rng(21);
+  for (const std::size_t n : {1U, 2U, 3U, 4U, 5U, 7U, 8U, 9U, 13U, 45U, 48U}) {
+    for (const std::size_t count : {0U, 1U, 3U, 64U, 65U, 150U}) {
+      const std::size_t stride = n + 3;
+      const std::size_t ld = n + 1;
+      const auto rows = random_rows(rng, count, n, stride);
+      std::vector<double> sign(count);
+      std::vector<double> weight(count);
+      for (std::size_t k = 0; k < count; ++k) {
+        sign[k] = k % 3 == 1 ? -1.0 : 1.0;
+        weight[k] = k % 4 == 2 ? 0.0 : rng.uniform(-5.0, 5.0);
+      }
+      // Start from a nonzero matrix, as a fold onto existing statistics does.
+      std::vector<double> start(n * ld);
+      for (double& v : start) v = rng.uniform(-1.0, 1.0);
+      for (const bool signed_rows : {false, true}) {
+        std::vector<double> want = start;
+        std::vector<double> got = start;
+        reference_gram(rows, stride, count, n, signed_rows ? &sign : nullptr,
+                       want, ld);
+        gram_accumulate(rows.data(), stride, count, n,
+                        signed_rows ? sign.data() : nullptr, got.data(), ld);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = i; j < n; ++j) {
+            ASSERT_EQ(got[i * ld + j], want[i * ld + j])
+                << "n=" << n << " count=" << count << " (" << i << "," << j
+                << ")";
+          }
+        }
+      }
+      std::vector<double> want(n, 0.5);
+      std::vector<double> got(n, 0.5);
+      for (std::size_t k = 0; k < count; ++k) {
+        if (weight[k] == 0.0) continue;
+        for (std::size_t c = 0; c < n; ++c) {
+          want[c] += rows[k * stride + c] * weight[k];
+        }
+      }
+      moment_accumulate(rows.data(), stride, count, n, weight.data(),
+                        got.data());
+      EXPECT_EQ(got, want) << "n=" << n << " count=" << count;
+    }
+  }
+}
+
+TEST(GramKernelTest, SplittingTheRowsChangesNoBit) {
+  // A fold in blocks (the QRSM folds at most 64 pending rows at a time)
+  // gives the bits of one call over all rows.
+  cbs::sim::RngStream rng(22);
+  const std::size_t n = 45;
+  const std::size_t count = 200;
+  const auto rows = random_rows(rng, count, n, n);
+  std::vector<double> whole(n * n, 0.0);
+  std::vector<double> parts(n * n, 0.0);
+  gram_accumulate(rows.data(), n, count, n, nullptr, whole.data(), n);
+  for (std::size_t k0 = 0; k0 < count; k0 += 37) {
+    gram_accumulate(rows.data() + k0 * n, n,
+                    std::min<std::size_t>(37, count - k0), n, nullptr,
+                    parts.data(), n);
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) {
+      ASSERT_EQ(parts[i * n + j], whole[i * n + j]);
+    }
+}
+
+TEST(GramKernelTest, MatrixGramAndTransposeTimesMatchScalarLoops) {
+  cbs::sim::RngStream rng(23);
+  Matrix a(37, 13);
+  Vector y(37);
+  for (std::size_t r = 0; r < 37; ++r) {
+    for (std::size_t c = 0; c < 13; ++c) {
+      a(r, c) = (r + c) % 6 == 0 ? 0.0 : rng.uniform(-2.0, 2.0);
+    }
+    y[r] = r % 5 == 0 ? 0.0 : rng.uniform(-2.0, 2.0);
+  }
+  Matrix want(13, 13);
+  Vector want_y(13, 0.0);
+  for (std::size_t r = 0; r < 37; ++r) {
+    for (std::size_t i = 0; i < 13; ++i) {
+      if (a(r, i) == 0.0) continue;
+      for (std::size_t j = i; j < 13; ++j) want(i, j) += a(r, i) * a(r, j);
+    }
+    if (y[r] == 0.0) continue;
+    for (std::size_t c = 0; c < 13; ++c) want_y[c] += a(r, c) * y[r];
+  }
+  const Matrix g = a.gram();
+  for (std::size_t i = 0; i < 13; ++i) {
+    for (std::size_t j = i; j < 13; ++j) {
+      EXPECT_EQ(g(i, j), want(i, j));
+      EXPECT_EQ(g(j, i), want(i, j)) << "mirrored";
+    }
+  }
+  EXPECT_EQ(a.transpose_times(y), want_y);
+}
+
+/// The column-oriented textbook Cholesky and substitutions, reading A's
+/// lower triangle: the order every kernel entry must reproduce.
+std::optional<Matrix> reference_cholesky(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = a(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
+    if (diag <= 0.0 || !std::isfinite(diag)) return std::nullopt;
+    l(j, j) = std::sqrt(diag);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = s / l(j, j);
+    }
+  }
+  return l;
+}
+
+Vector reference_solve(const Matrix& l, const Vector& b) {
+  const std::size_t n = l.rows();
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s / l(i, i);
+  }
+  Vector x(n);
+  for (std::size_t i = n; i-- > 0;) {
+    double s = y[i];
+    for (std::size_t k = i + 1; k < n; ++k) s -= l(k, i) * x[k];
+    x[i] = s / l(i, i);
+  }
+  return x;
+}
+
+Matrix random_spd(cbs::sim::RngStream& rng, std::size_t n) {
+  Matrix b(n + 4, n);
+  for (std::size_t r = 0; r < n + 4; ++r)
+    for (std::size_t c = 0; c < n; ++c) b(r, c) = rng.uniform(-1.0, 1.0);
+  Matrix a = b.gram();
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.1;
+  return a;
+}
+
+TEST(CholeskyKernelTest, MatchesTextbookOrderBitForBit) {
+  cbs::sim::RngStream rng(24);
+  for (const std::size_t n : {1U, 2U, 3U, 5U, 8U, 9U, 10U, 16U, 17U, 45U}) {
+    const Matrix a = random_spd(rng, n);
+    Vector b(n);
+    for (double& v : b) v = rng.uniform(-4.0, 4.0);
+    const auto want_l = reference_cholesky(a);
+    ASSERT_TRUE(want_l.has_value());
+    const Vector want_x = reference_solve(*want_l, b);
+
+    const auto l = cholesky(a);
+    ASSERT_TRUE(l.has_value());
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ((*l)(i, j), (*want_l)(i, j)) << n;
+      }
+    EXPECT_EQ(cholesky_solve(*want_l, b), want_x) << n;
+    EXPECT_EQ(*solve_spd(a, b), want_x) << n;
+
+    // In place with padded rows; the strict lower triangle is neither read
+    // nor written, so a NaN there changes nothing and survives.
+    const std::size_t ld = n + 3;
+    std::vector<double> u(n * ld, 7.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        u[i * ld + j] =
+            j >= i ? a(i, j) : std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+    ASSERT_TRUE(cholesky_in_place(u.data(), n, ld));
+    Vector x = b;
+    cholesky_solve_in_place(u.data(), n, ld, x.data());
+    EXPECT_EQ(x, want_x) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < ld; ++j) {
+        const double v = u[i * ld + j];
+        if (j >= n) {
+          EXPECT_EQ(v, 7.0) << "padding untouched";
+        } else if (j < i) {
+          EXPECT_TRUE(std::isnan(v)) << "lower triangle untouched";
+        } else {
+          EXPECT_EQ(v, (*want_l)(j, i)) << "U = Lᵀ";
+        }
+      }
+    }
+  }
+}
+
+TEST(CholeskyKernelTest, RidgeNormalInPlaceMatchesMatrixPath) {
+  cbs::sim::RngStream rng(25);
+  const std::size_t n = 11;
+  const Matrix g = random_spd(rng, n);
+  Vector c(n);
+  for (double& v : c) v = rng.uniform(-1.0, 1.0);
+  const auto want = solve_ridge_normal(g, c, 0.25);
+  ASSERT_TRUE(want.has_value());
+  Matrix ridged = g;
+  for (std::size_t i = 0; i < n; ++i) ridged(i, i) += 0.25;
+  EXPECT_EQ(*want, reference_solve(*reference_cholesky(ridged), c));
+
+  std::vector<double> work(n * 12);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) work[i * 12 + j] = g(i, j);
+  Vector x = c;
+  ASSERT_TRUE(solve_ridge_normal_in_place(work.data(), n, 12, 0.25, x.data()));
+  EXPECT_EQ(x, *want);
+}
+
+TEST(CholeskyKernelTest, InPlaceRejectsIndefiniteAndNan) {
+  std::vector<double> a = {1.0, 2.0, 0.0, 1.0};  // [[1, 2], [2, 1]], upper
+  EXPECT_FALSE(cholesky_in_place(a.data(), 2, 2));
+  std::vector<double> nan = {std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_FALSE(cholesky_in_place(nan.data(), 1, 1));
+  EXPECT_FALSE(solve_ridge_normal(Matrix{{-1.0}}, {1.0}, 0.5).has_value());
 }
 
 // ---- QR --------------------------------------------------------------

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdlib>
 #include <deque>
+#include <new>
+#include <utility>
+#include <vector>
 
 #include "linalg/least_squares.hpp"
 #include "models/estimator.hpp"
@@ -11,6 +17,25 @@
 #include "simcore/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/ground_truth.hpp"
+
+// Heap allocations made while `g_count_allocations` is set. The global
+// operator new of this test binary is replaced to count them.
+namespace {
+bool g_count_allocations = false;
+std::size_t g_allocations = 0;
+
+// Out of line, so the compiler does not pair a delete it inlines with the
+// malloc in operator new and warn about a mismatch.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 
@@ -468,6 +493,343 @@ TEST(QrsmLazyQualityTest, UnreadQualityKeepsAtMostOneRefitIntervalOfRows) {
     ASSERT_LE(model.stored_rows(), 128U + 32U) << "observation " << i;
   }
   EXPECT_EQ(model.buffered(), 128U);
+}
+
+// ---- QrsmModel: deferred fold vs an eager rank-1 reference ----------------
+
+/// The refit as it runs without deferral or kernels: every observation
+/// updates S = Σφφᵀ and b = Σφy at once, row by row (one rank-1 update per
+/// new and per evicted row, skipping a zero φᵢ and a zero y), with the
+/// model's rebuild rule and reference frame, the change of frame T·S·Tᵀ,
+/// and a textbook Cholesky. All scalar loops, so the model's blocked
+/// kernels must reproduce its coefficients bit for bit.
+class EagerQrsm {
+ public:
+  explicit EagerQrsm(QrsmModel::Config config) : config_(config) {}
+
+  void observe(const DocumentFeatures& f, double y) {
+    window_.push_back({extract_raw(f), y});
+    if (has_frame_) {
+      accumulate(window_.back(), 1.0);
+      ++updates_since_rebuild_;
+    }
+    if (config_.window > 0 && window_.size() > config_.window) {
+      if (has_frame_) accumulate(window_.front(), -1.0);
+      window_.pop_front();
+    }
+    if (++since_refit_ >= config_.refit_interval) refit();
+  }
+
+  [[nodiscard]] const std::vector<double>& coefficients() const {
+    return coefficients_;
+  }
+  [[nodiscard]] double predict(const DocumentFeatures& f) const {
+    const auto row = quadratic_expand(scaler_.apply(extract_raw(f)));
+    double acc = 0.0;
+    for (std::size_t j = 0; j < kDim; ++j) acc += row[j] * coefficients_[j];
+    return std::max(acc, config_.min_prediction_seconds);
+  }
+
+ private:
+  using Raw = std::array<double, kNumRawFeatures>;
+  struct Row {
+    Raw raw;
+    double y;
+  };
+  static constexpr std::size_t kDim = kQuadraticDim;
+
+  void accumulate(const Row& r, double sign) {
+    const auto phi = quadratic_expand(frame_.apply(r.raw));
+    for (std::size_t i = 0; i < kDim; ++i) {
+      if (phi[i] == 0.0) continue;
+      const double a = sign * phi[i];
+      for (std::size_t j = i; j < kDim; ++j) xtx_[i][j] += a * phi[j];
+    }
+    if (r.y == 0.0) return;
+    for (std::size_t c = 0; c < kDim; ++c) xty_[c] += phi[c] * (sign * r.y);
+  }
+
+  /// FeatureScaler::fit, one scalar sum per feature.
+  [[nodiscard]] FeatureScaler fit_scaler() const {
+    FeatureScaler sc;
+    const auto n = static_cast<double>(window_.size());
+    for (std::size_t i = 0; i < kNumRawFeatures; ++i) {
+      double sum = 0.0;
+      for (const Row& r : window_) sum += r.raw[i];
+      sc.mean[i] = sum / n;
+      double var = 0.0;
+      for (const Row& r : window_) {
+        var += (r.raw[i] - sc.mean[i]) * (r.raw[i] - sc.mean[i]);
+      }
+      const double sd = std::sqrt(var / n);
+      sc.scale[i] = sd > 1e-12 ? sd : 1.0;
+    }
+    return sc;
+  }
+
+  void refit() {
+    since_refit_ = 0;
+    if (window_.size() < kDim + kDim / 4) return;
+    scaler_ = fit_scaler();
+    if (!has_frame_ || updates_since_rebuild_ >= rows_at_rebuild_) {
+      frame_ = scaler_;
+      xtx_ = {};
+      xty_ = {};
+      for (const Row& r : window_) accumulate(r, 1.0);
+      has_frame_ = true;
+      rows_at_rebuild_ = window_.size();
+      updates_since_rebuild_ = 0;
+    }
+    solve();
+  }
+
+  /// T with φ(αu + β) = T·φ(u), as (column, coefficient) terms per row in
+  /// quadratic_expand's layout.
+  using Terms = std::vector<std::pair<std::size_t, double>>;
+  [[nodiscard]] std::vector<Terms> frame_map() const {
+    constexpr std::size_t n = kNumRawFeatures;
+    Raw al{};
+    Raw be{};
+    for (std::size_t i = 0; i < n; ++i) {
+      al[i] = frame_.scale[i] / scaler_.scale[i];
+      be[i] = (frame_.mean[i] - scaler_.mean[i]) / scaler_.scale[i];
+    }
+    std::vector<Terms> t;
+    t.push_back({{0, 1.0}});
+    for (std::size_t i = 0; i < n; ++i) {
+      t.push_back({{1 + i, al[i]}, {0, be[i]}});
+    }
+    std::size_t cross = 1 + n;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        t.push_back({{cross++, al[i] * al[j]},
+                     {1 + i, al[i] * be[j]},
+                     {1 + j, be[i] * al[j]},
+                     {0, be[i] * be[j]}});
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      t.push_back({{cross + i, al[i] * al[i]},
+                   {1 + i, 2.0 * al[i] * be[i]},
+                   {0, be[i] * be[i]}});
+    }
+    return t;
+  }
+
+  void solve() {
+    const auto t = frame_map();
+    std::vector<std::vector<double>> full(kDim, std::vector<double>(kDim));
+    for (std::size_t a = 0; a < kDim; ++a)
+      for (std::size_t b = a; b < kDim; ++b) {
+        full[a][b] = full[b][a] = xtx_[a][b];
+      }
+    std::vector<std::vector<double>> m(kDim, std::vector<double>(kDim, 0.0));
+    for (std::size_t p = 0; p < kDim; ++p)
+      for (const auto& [col, w] : t[p])
+        for (std::size_t b = 0; b < kDim; ++b) m[p][b] += w * full[col][b];
+    std::vector<std::vector<double>> g(kDim, std::vector<double>(kDim));
+    std::vector<double> c(kDim, 0.0);
+    for (std::size_t p = 0; p < kDim; ++p) {
+      for (std::size_t q = p; q < kDim; ++q) {
+        double acc = 0.0;
+        for (const auto& [col, w] : t[q]) acc += w * m[p][col];
+        g[p][q] = g[q][p] = acc;
+      }
+      for (const auto& [col, w] : t[p]) c[p] += w * xty_[col];
+    }
+    for (std::size_t i = 0; i < kDim; ++i) g[i][i] += config_.ridge_lambda;
+    // Column-oriented Cholesky, then forward and back substitution.
+    std::vector<std::vector<double>> l(kDim, std::vector<double>(kDim, 0.0));
+    for (std::size_t j = 0; j < kDim; ++j) {
+      double diag = g[j][j];
+      for (std::size_t k = 0; k < j; ++k) diag -= l[j][k] * l[j][k];
+      ASSERT_GT(diag, 0.0) << "reference Cholesky failed";
+      l[j][j] = std::sqrt(diag);
+      for (std::size_t i = j + 1; i < kDim; ++i) {
+        double s = g[i][j];
+        for (std::size_t k = 0; k < j; ++k) s -= l[i][k] * l[j][k];
+        l[i][j] = s / l[j][j];
+      }
+    }
+    std::vector<double> y(kDim);
+    for (std::size_t i = 0; i < kDim; ++i) {
+      double s = c[i];
+      for (std::size_t k = 0; k < i; ++k) s -= l[i][k] * y[k];
+      y[i] = s / l[i][i];
+    }
+    coefficients_.assign(kDim, 0.0);
+    for (std::size_t i = kDim; i-- > 0;) {
+      double s = y[i];
+      for (std::size_t k = i + 1; k < kDim; ++k) {
+        s -= l[k][i] * coefficients_[k];
+      }
+      coefficients_[i] = s / l[i][i];
+    }
+  }
+
+  QrsmModel::Config config_;
+  std::deque<Row> window_;
+  std::size_t since_refit_ = 0;
+  FeatureScaler scaler_;
+  bool has_frame_ = false;
+  FeatureScaler frame_;
+  std::size_t rows_at_rebuild_ = 0;
+  std::size_t updates_since_rebuild_ = 0;
+  std::array<std::array<double, kDim>, kDim> xtx_{};
+  std::array<double, kDim> xty_{};
+  std::vector<double> coefficients_;
+};
+
+/// Streams `n` observations, transformed by `edit`, into the model and the
+/// eager reference; after every refit their coefficients and predictions
+/// on fixed probes must be equal. Returns the number of refits compared.
+template <typename Edit>
+int expect_matches_eager(QrsmModel& model, EagerQrsm& eager, QrsmStream& stream,
+                         std::size_t n, Edit edit) {
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 8; ++i) probes.push_back(stream.next().first);
+  int refits = 0;
+  std::size_t last_observations = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto [f, y] = stream.next();
+    edit(f, y);
+    model.observe(f, y);
+    eager.observe(f, y);
+    if (!model.is_fitted() || eager.coefficients().empty()) continue;
+    if (model.observations() % 32 != 0 ||
+        model.observations() == last_observations) {
+      continue;
+    }
+    last_observations = model.observations();
+    ++refits;
+    EXPECT_EQ(model.last_fit()->coefficients, eager.coefficients())
+        << "observation " << i;
+    for (const auto& p : probes) EXPECT_EQ(model.predict(p), eager.predict(p));
+  }
+  return refits;
+}
+
+TEST(QrsmDeferredFoldTest, ConstantFeatureColumnMatchesEagerReference) {
+  // A constant raw feature standardizes to 0 on every row, so its linear,
+  // square and cross terms are φᵢ == 0 on every row: the fold skips them.
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmModel model(cfg);
+  EagerQrsm eager(cfg);
+  QrsmStream stream;
+  const int refits = expect_matches_eager(model, eager, stream, 1500,
+                                          [](DocumentFeatures& f, double&) {
+                                            f.resolution_dpi = 300.0;
+                                          });
+  EXPECT_GE(refits, 40);
+}
+
+TEST(QrsmDeferredFoldTest, ZeroRuntimeRowsMatchEagerReference) {
+  // y == 0 rows add nothing to b (skipped) but still enter S.
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmModel model(cfg);
+  EagerQrsm eager(cfg);
+  QrsmStream stream;
+  int k = 0;
+  const int refits = expect_matches_eager(model, eager, stream, 1500,
+                                          [&k](DocumentFeatures&, double& y) {
+                                            if (++k % 5 == 0) y = 0.0;
+                                          });
+  EXPECT_GE(refits, 40);
+}
+
+TEST(QrsmDeferredFoldTest, IntervalAboveHalfThePendingStoreFoldsEarly) {
+  // 48 observations between refits record 96 signed rows once the window
+  // is full: the store folds when it holds kMaxPendingRows, mid-interval.
+  const QrsmModel::Config cfg{.refit_interval = 48, .window = 200};
+  QrsmModel model(cfg);
+  EagerQrsm eager(cfg);
+  QrsmStream stream;
+  std::size_t max_pending = 0;
+  expect_matches_eager(model, eager, stream, 1500,
+                       [&](DocumentFeatures&, double&) {
+                         max_pending =
+                             std::max(max_pending, model.pending_rows());
+                       });
+  EXPECT_EQ(max_pending, QrsmModel::kMaxPendingRows);
+}
+
+TEST(QrsmDeferredFoldTest, CopyWithPendingRowsContinuesIdentically) {
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmModel model(cfg);
+  EagerQrsm eager(cfg);
+  QrsmStream stream;
+  for (int i = 0; i < 288 + 5; ++i) {  // 5 observations past the refit at 288
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    eager.observe(f, y);
+  }
+  ASSERT_EQ(model.pending_rows(), 10U) << "5 new rows and 5 evicted ones";
+  QrsmModel copy = model;
+  EXPECT_EQ(copy.pending_rows(), 10U);
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 8; ++i) probes.push_back(stream.next().first);
+  for (int i = 0; i < 700; ++i) {
+    const auto [f, y] = stream.next();
+    model.observe(f, y);
+    copy.observe(f, y);
+    eager.observe(f, y);
+    if (model.observations() % 32 != 0) continue;
+    ASSERT_EQ(copy.last_fit()->coefficients, eager.coefficients()) << i;
+    ASSERT_EQ(model.last_fit()->coefficients, eager.coefficients()) << i;
+    for (const auto& p : probes) ASSERT_EQ(copy.predict(p), model.predict(p));
+  }
+}
+
+TEST(QrsmDeferredFoldTest, PendingRowsNeverExceedTwoRefitIntervals) {
+  for (const std::size_t interval : {1U, 8U, 32U}) {
+    QrsmModel model({.refit_interval = interval, .window = 128});
+    QrsmStream stream;
+    std::size_t max_pending = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const auto [f, y] = stream.next();
+      model.observe(f, y);
+      ASSERT_LE(model.pending_rows(), 2 * interval) << "observation " << i;
+      max_pending = std::max(max_pending, model.pending_rows());
+    }
+    // Just before each refit: one new and one evicted row per observation
+    // (the refit itself runs inside the interval's last observe).
+    EXPECT_EQ(max_pending, 2 * (interval - 1)) << interval;
+  }
+}
+
+/// Allocations made by `f()`.
+template <typename F>
+std::size_t allocations_in(F f) {
+  g_allocations = 0;
+  g_count_allocations = true;
+  f();
+  g_count_allocations = false;
+  return g_allocations;
+}
+
+TEST(QrsmDeferredFoldTest, RefitAllocatesNothing) {
+  // Refits only when asked, so each path can be timed on its own.
+  QrsmModel model({.refit_interval = 100000, .window = 256});
+  QrsmStream stream;
+  const auto observe = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto [f, y] = stream.next();
+      model.observe(f, y);
+    }
+  };
+  observe(300);
+  model.refit();  // first fit: builds the statistics, sizes the coefficients
+  ASSERT_TRUE(model.is_fitted());
+  observe(10);
+  ASSERT_EQ(model.pending_rows(), 20U);
+  EXPECT_EQ(allocations_in([&] { model.refit(); }), 0U) << "fold and solve";
+  EXPECT_EQ(model.pending_rows(), 0U);
+  observe(256);  // 256 updates since the rebuild: the next refit rebuilds
+  EXPECT_EQ(allocations_in([&] { model.refit(); }), 0U) << "rebuild and solve";
+  EXPECT_EQ(model.pending_rows(), 0U);
+  QrsmModel copy;
+  EXPECT_GT(allocations_in([&] { copy = model; }), 0U) << "a copy (fork) does";
+  EXPECT_EQ(copy.last_fit()->coefficients, model.last_fit()->coefficients);
 }
 
 TEST(QrsmIncrementalTest, PerClassEstimatorTracksReferencePerClass) {

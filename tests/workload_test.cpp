@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "simcore/simulation.hpp"
 #include "stats/summary.hpp"
@@ -405,6 +407,35 @@ TEST(TraceTest, RoundTripPreservesEverything) {
   }
 }
 
+TEST(TraceTest, WriteKeepsEveryDigit) {
+  // A stream at its default precision (6 digits) must still carry the
+  // exact doubles, so a trace written to a file replays exactly.
+  auto truth = make_truth();
+  WorkloadGenerator gen({}, truth, RngStream(14));
+  BatchArrivalProcess arrivals({.num_batches = 2}, gen, RngStream(15));
+  const auto original = arrivals.generate_all();
+  std::stringstream ss;
+  trace::write(ss, original);
+  EXPECT_EQ(ss.precision(), 6) << "the caller's precision is restored";
+  const auto copy = trace::read(ss);
+  ASSERT_EQ(copy.size(), original.size());
+  for (std::size_t b = 0; b < original.size(); ++b) {
+    EXPECT_EQ(copy[b].arrival_time, original[b].arrival_time);
+    ASSERT_EQ(copy[b].documents.size(), original[b].documents.size());
+    for (std::size_t i = 0; i < original[b].documents.size(); ++i) {
+      const Document& a = original[b].documents[i];
+      const Document& c = copy[b].documents[i];
+      EXPECT_EQ(c.features.size_mb, a.features.size_mb);
+      EXPECT_EQ(c.features.avg_image_mb, a.features.avg_image_mb);
+      EXPECT_EQ(c.features.resolution_dpi, a.features.resolution_dpi);
+      EXPECT_EQ(c.features.color_fraction, a.features.color_fraction);
+      EXPECT_EQ(c.features.text_ratio, a.features.text_ratio);
+      EXPECT_EQ(c.features.coverage, a.features.coverage);
+      EXPECT_EQ(c.output_size_mb, a.output_size_mb);
+    }
+  }
+}
+
 TEST(TraceTest, RejectsBadHeader) {
   std::istringstream in("not,a,header\n");
   EXPECT_THROW((void)trace::read(in), std::runtime_error);
@@ -432,6 +463,82 @@ TEST(TraceTest, RejectsMalformedNumber) {
       "resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb\n"
       "0,0,1,book,10x,1,0,0,300,0,1,0.5,8\n");
   EXPECT_THROW((void)trace::read(in), std::runtime_error);
+}
+
+/// Reads one data row after the header; the error must name line 2 and
+/// contain `what`.
+void expect_row_rejected(const std::string& row, const std::string& what) {
+  std::istringstream in(
+      "batch,arrival_time,doc_id,type,size_mb,pages,num_images,avg_image_mb,"
+      "resolution_dpi,color_fraction,text_ratio,coverage,output_size_mb\n" +
+      row + "\n");
+  try {
+    (void)trace::read(in);
+    ADD_FAILURE() << "accepted: " << row;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("trace: line 2: ", 0), 0U) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(TraceTest, RejectsNanArrivalTime) {
+  expect_row_rejected("0,nan,1,book,10,1,0,0,300,0,1,0.5,8",
+                      "arrival_time is not finite");
+}
+
+TEST(TraceTest, RejectsInfiniteFeature) {
+  expect_row_rejected("0,0,1,book,inf,1,0,0,300,0,1,0.5,8",
+                      "size_mb is not finite");
+  expect_row_rejected("0,0,1,book,10,1,0,0,300,0,1,-inf,8",
+                      "coverage is not finite");
+}
+
+TEST(TraceTest, RejectsNegativeArrivalTime) {
+  expect_row_rejected("0,-5,1,book,10,1,0,0,300,0,1,0.5,8",
+                      "arrival_time is negative");
+}
+
+TEST(TraceTest, RejectsNegativeSize) {
+  expect_row_rejected("0,0,1,book,-10,1,0,0,300,0,1,0.5,8",
+                      "size_mb is negative");
+  expect_row_rejected("0,0,1,book,10,1,0,0,300,0,1,0.5,-8",
+                      "output_size_mb is negative");
+}
+
+TEST(TraceTest, RejectsNegativeCount) {
+  expect_row_rejected("0,0,1,book,10,-3,0,0,300,0,1,0.5,8",
+                      "pages is negative");
+  expect_row_rejected("0,0,1,book,10,1,-1,0,300,0,1,0.5,8",
+                      "num_images is negative");
+}
+
+TEST(TraceTest, RejectsNegativeBatchIndex) {
+  expect_row_rejected("-1,0,1,book,10,1,0,0,300,0,1,0.5,8",
+                      "batch is negative");
+}
+
+TEST(TraceTest, RejectsNegativeDocId) {
+  expect_row_rejected("0,0,-7,book,10,1,0,0,300,0,1,0.5,8",
+                      "doc_id is negative");
+}
+
+TEST(TraceTest, RejectsOutOfRangeIntegers) {
+  expect_row_rejected("99999999999999999999999,0,1,book,10,1,0,0,300,0,1,0.5,8",
+                      "batch is out of range");
+  expect_row_rejected("0,0,1,book,10,3000000000,0,0,300,0,1,0.5,8",
+                      "pages is out of range");
+  expect_row_rejected("0,1e999,1,book,10,1,0,0,300,0,1,0.5,8",
+                      "bad number '1e999'");
+}
+
+TEST(TraceTest, MalformedFieldsNameTheLine) {
+  expect_row_rejected("0,0,1,book,10x,1,0,0,300,0,1,0.5,8",
+                      "bad number '10x' for size_mb");
+  expect_row_rejected("0,0,1,frisbee,10,1,0,0,300,0,1,0.5,8",
+                      "unknown job type 'frisbee'");
+  expect_row_rejected("0,0,1,book,10,1.5,0,0,300,0,1,0.5,8",
+                      "bad integer '1.5' for pages");
 }
 
 TEST(TraceTest, WriteReportsRowCount) {
