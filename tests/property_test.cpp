@@ -2,6 +2,8 @@
 // that must hold for every seed, not just the golden one.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -184,5 +186,60 @@ TEST_P(ScenarioPropertyTest, MakespanBoundedBySerialAndIdealParallel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioPropertyTest,
                          ::testing::Values(101u, 102u, 103u, 104u));
+
+// ---- metamorphic: EC-side settings cannot move an ic-only run --------------
+
+/// Every outcome field, doubles by bit pattern.
+void expect_same_outcomes(const std::vector<sla::JobOutcome>& a,
+                          const std::vector<sla::JobOutcome>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].seq_id, b[i].seq_id) << "outcome " << i;
+    EXPECT_EQ(a[i].doc_id, b[i].doc_id) << "outcome " << i;
+    EXPECT_EQ(a[i].batch_index, b[i].batch_index) << "outcome " << i;
+    EXPECT_EQ(bits(a[i].arrival), bits(b[i].arrival)) << "outcome " << i;
+    EXPECT_EQ(bits(a[i].scheduled), bits(b[i].scheduled)) << "outcome " << i;
+    EXPECT_EQ(bits(a[i].completed), bits(b[i].completed)) << "outcome " << i;
+    EXPECT_EQ(bits(a[i].input_mb), bits(b[i].input_mb)) << "outcome " << i;
+    EXPECT_EQ(bits(a[i].output_mb), bits(b[i].output_mb)) << "outcome " << i;
+    EXPECT_EQ(bits(a[i].true_service_seconds), bits(b[i].true_service_seconds))
+        << "outcome " << i;
+    EXPECT_EQ(a[i].placement, b[i].placement) << "outcome " << i;
+  }
+}
+
+class IcOnlyMetamorphicTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// An ic-only run never touches the EC, so neither EC VM crashes nor the
+// EC-side prices can change a single bit of its outcomes.
+TEST_P(IcOnlyMetamorphicTest, OutcomesIgnoreEcSettings) {
+  harness::Scenario base = harness::make_scenario(
+      core::SchedulerKind::kIcOnly, workload::SizeBucket::kUniform, GetParam());
+  base.num_batches = 8;
+  const harness::RunResult reference = harness::run_scenario(base);
+  ASSERT_FALSE(reference.outcomes.empty());
+
+  sla::CostRates pricey;
+  pricey.ec_machine_hour = 2.5;
+  pricey.egress_per_gb = 0.9;
+  pricey.ingress_per_gb = 0.7;
+  pricey.store_gb_month = 3.0;
+  for (const double ec_mtbf : {0.0, 500.0, 3600.0}) {
+    for (const bool reprice : {false, true}) {
+      harness::Scenario s = base;
+      s.faults.ec_vm_mtbf = ec_mtbf;
+      if (reprice) s.cost_rates = pricey;
+      SCOPED_TRACE(::testing::Message()
+                   << "ec_mtbf " << ec_mtbf << " reprice " << reprice);
+      const harness::RunResult r = harness::run_scenario(s);
+      expect_same_outcomes(reference.outcomes, r.outcomes);
+      EXPECT_EQ(r.faults.ic_crashes, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IcOnlyMetamorphicTest,
+                         ::testing::Values(1u, 2u, 3u));
 
 }  // namespace
