@@ -396,10 +396,10 @@ BENCHMARK(BM_SnapshotFork)->Unit(benchmark::kMicrosecond);
 void BM_SnapshotForkAt(benchmark::State& state, std::size_t fork_batch) {
   // One fork of a 200-batch run at stationary load (IC busy, backlog
   // bounded), taken just after batch `fork_batch` arrives. A fork copies
-  // live state — jobs in flight, pending events, the QRSM window — not
-  // finished jobs, completion logs or the arrival schedule, so the early
-  // and the late fork should cost about the same. The gap left is the
-  // outcome list (rollout scoring reads it) and the QRSM window filling.
+  // live state — jobs in flight, pending events (one batch arrival among
+  // them), the QRSM window — and shares the arrival schedule and the full
+  // chunks of the outcome history, so the early and the late fork should
+  // cost about the same. The gap left is mostly the QRSM window filling.
   auto scenario = cbs::harness::make_scenario(
       cbs::core::SchedulerKind::kOrderPreserving,
       cbs::workload::SizeBucket::kUniform, 42);

@@ -33,16 +33,6 @@ std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
 std::string input_key(std::uint64_t seq) { return "in/" + std::to_string(seq); }
 std::string output_key(std::uint64_t seq) { return "out/" + std::to_string(seq); }
 
-/// A copy that keeps `src`'s spare capacity, so the fork's next push_back
-/// does not reallocate (and copy the whole vector a second time).
-template <typename T>
-std::vector<T> copy_with_capacity(const std::vector<T>& src) {
-  std::vector<T> copy;
-  copy.reserve(src.capacity());
-  copy.assign(src.begin(), src.end());
-  return copy;
-}
-
 }  // namespace
 
 CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
@@ -137,7 +127,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       download_queue_(dst, src.download_queue_, downlink_, down_tuner_),
       jobs_(src.jobs_),
       ic_wait_(src.ic_wait_),
-      outcomes_(copy_with_capacity(src.outcomes_)),
+      outcomes_(src.outcomes_),
       next_seq_(src.next_seq_),
       next_doc_id_(src.next_doc_id_),
       outstanding_(src.outstanding_),

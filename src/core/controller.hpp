@@ -12,6 +12,7 @@
 #include "core/job.hpp"
 #include "core/scheduler.hpp"
 #include "core/upload_queues.hpp"
+#include "util/chunked_log.hpp"
 #include "util/flat_map.hpp"
 #include "util/seq_ring.hpp"
 #include "models/estimator.hpp"
@@ -80,7 +81,15 @@ class CloudBurstController {
 
   // ---- results & introspection -------------------------------------
 
-  [[nodiscard]] const std::vector<cbs::sla::JobOutcome>& outcomes() const noexcept {
+  /// Every finished job's outcome, in completion order, assembled into one
+  /// vector (a copy: O(outcomes)).
+  [[nodiscard]] std::vector<cbs::sla::JobOutcome> outcomes() const {
+    return outcomes_.to_vector();
+  }
+  /// The same outcomes as stored: chunks shared with forks, readable
+  /// from any index without assembling the whole history.
+  [[nodiscard]] const cbs::util::ChunkedLog<cbs::sla::JobOutcome>& outcome_log()
+      const noexcept {
     return outcomes_;
   }
   [[nodiscard]] std::size_t outstanding_jobs() const noexcept { return outstanding_; }
@@ -222,7 +231,9 @@ class CloudBurstController {
   /// jobs in flight, not the run's history.
   cbs::util::SeqRing<Job> jobs_;
   std::deque<std::uint64_t> ic_wait_;  ///< IC feed queue (enables rescheduling)
-  std::vector<cbs::sla::JobOutcome> outcomes_;
+  /// Finished jobs' outcomes: append-only history, so forks share its full
+  /// chunks and copy only the partial tail.
+  cbs::util::ChunkedLog<cbs::sla::JobOutcome> outcomes_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_doc_id_ = 1ULL << 32;  ///< chunk ids, disjoint from inputs
   std::size_t outstanding_ = 0;

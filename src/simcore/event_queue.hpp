@@ -102,12 +102,23 @@ class EventQueue {
   [[nodiscard]] std::vector<PendingEvent> pending_records() const;
 
   /// Re-schedules an event with an explicit (time, seq) taken from a
-  /// source queue's PendingEvent. Precondition: seq < next_seq() (call
-  /// set_next_seq() first) and seq unique among restored events.
+  /// source queue's PendingEvent or from reserve_seqs(). Precondition:
+  /// seq < next_seq() (call set_next_seq() first) and seq unique among
+  /// pending events.
   EventId restore(SimTime t, std::uint64_t seq, Callback cb);
 
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
   void set_next_seq(std::uint64_t seq) noexcept { next_seq_ = seq; }
+
+  /// Reserves `n` consecutive seqs and returns the first. An event put in
+  /// the queue later under a reserved seq (restore()) pops exactly where
+  /// it would have popped had it been pushed at reservation time, since
+  /// pop order is (time, seq). Reserved seqs count in total_scheduled().
+  std::uint64_t reserve_seqs(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
 
  private:
   enum class SlotState : std::uint8_t { kFree, kPending, kCancelled };

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "sla/job_outcome.hpp"
 #include "sla/metrics.hpp"
 #include "sla/oo_metric.hpp"
+#include "sla/outcome_tally.hpp"
 #include "sla/report.hpp"
 #include "sla/slack.hpp"
 #include "simcore/rng.hpp"
@@ -338,6 +340,116 @@ TEST(ReportTest, FormatTableContainsAllRows) {
   EXPECT_NE(table.find("greedy"), std::string::npos);
   EXPECT_NE(table.find("uniform"), std::string::npos);
   EXPECT_NE(table.find("scheduler"), std::string::npos);
+}
+
+// ---- OutcomeTally: running sums equal to a full rescan, bit for bit ---------
+
+/// The rescans the tally replaces: the lateness loop in stream order, and
+/// o_t over a partial outcome set by a walk of the whole id space.
+double rescan_lateness(const std::vector<JobOutcome>& outcomes,
+                       const TicketPolicy& policy) {
+  double lateness = 0.0;
+  for (const auto& o : outcomes) {
+    lateness += std::max(0.0, o.completed - policy.deadline_for(o));
+  }
+  return lateness;
+}
+
+double rescan_ordered_output_mb(const std::vector<JobOutcome>& outcomes,
+                                std::uint64_t tolerance) {
+  if (outcomes.empty()) return 0.0;
+  std::uint64_t max_id = 0;
+  for (const auto& o : outcomes) max_id = std::max(max_id, o.seq_id);
+  std::vector<double> output_by_id(max_id + 1, -1.0);
+  for (const auto& o : outcomes) output_by_id[o.seq_id] = o.output_mb;
+  double ordered = 0.0;
+  double running = 0.0;
+  std::uint64_t missing = 0;
+  for (std::uint64_t id = 1; id <= max_id; ++id) {
+    if (output_by_id[id] < 0.0) {
+      if (++missing > tolerance) break;
+      continue;
+    }
+    running += output_by_id[id];
+    ordered = running;
+  }
+  return ordered;
+}
+
+TEST(OutcomeTallyTest, EmptyTallyIsZero) {
+  const OutcomeTally tally{TicketPolicy{}};
+  EXPECT_EQ(tally.count(), 0u);
+  EXPECT_EQ(tally.lateness(), 0.0);
+  EXPECT_EQ(tally.ordered_output_mb(0), 0.0);
+  EXPECT_EQ(tally.ordered_output_mb(4), 0.0);
+}
+
+TEST(OutcomeTallyTest, MatchesRescanAfterEveryOutcome) {
+  // Ids 1..n completing in a shuffled order (some never complete), with
+  // outputs spanning many magnitudes so a changed summation order would
+  // change bits; checked against the rescans after every single add.
+  TicketPolicy policy;
+  policy.base_seconds = 50.0;
+  policy.seconds_per_mb = 0.5;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    cbs::sim::RngStream rng(seed);
+    const std::uint64_t n = 60;
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t id = 1; id <= n; ++id) {
+      if (rng.next_double() < 0.9) ids.push_back(id);
+    }
+    for (std::size_t i = ids.size(); i > 1; --i) {
+      std::swap(ids[i - 1], ids[rng.uniform_int(0, i - 1)]);
+    }
+    OutcomeTally tally(policy);
+    std::vector<JobOutcome> stream;
+    for (const std::uint64_t id : ids) {
+      JobOutcome o;
+      o.seq_id = id;
+      o.arrival = rng.uniform(0.0, 100.0);
+      o.input_mb = rng.uniform(1.0, 300.0);
+      o.completed = o.arrival + rng.uniform(0.0, 400.0);
+      o.output_mb = std::pow(10.0, rng.uniform(-3.0, 4.0));
+      stream.push_back(o);
+      tally.add(o);
+      ASSERT_EQ(tally.count(), stream.size());
+      EXPECT_EQ(tally.lateness(), rescan_lateness(stream, policy));
+      for (const std::uint64_t tolerance : {0u, 1u, 4u, 100u}) {
+        EXPECT_EQ(tally.ordered_output_mb(tolerance),
+                  rescan_ordered_output_mb(stream, tolerance))
+            << "seed " << seed << " after " << stream.size()
+            << " outcomes, tolerance " << tolerance;
+      }
+    }
+  }
+}
+
+TEST(OutcomeTallyTest, NegativeOutputCountsAsMissingAndIdZeroIsIgnored) {
+  // The rescan marks a missing id with -1, so a negative output reads as
+  // missing there; id 0 lies outside its 1..max walk. The tally agrees.
+  const TicketPolicy policy;
+  OutcomeTally tally(policy);
+  std::vector<JobOutcome> stream;
+  const auto add = [&](std::uint64_t id, double mb) {
+    JobOutcome o;
+    o.seq_id = id;
+    o.output_mb = mb;
+    o.completed = 1000.0;
+    stream.push_back(o);
+    tally.add(o);
+  };
+  add(0, 7.0);
+  add(2, 3.0);
+  add(1, -5.0);
+  add(3, 11.0);
+  for (const std::uint64_t tolerance : {0u, 1u, 2u}) {
+    EXPECT_EQ(tally.ordered_output_mb(tolerance),
+              rescan_ordered_output_mb(stream, tolerance))
+        << "tolerance " << tolerance;
+  }
+  EXPECT_EQ(tally.ordered_output_mb(0), 0.0);
+  EXPECT_EQ(tally.ordered_output_mb(1), 14.0);
+  EXPECT_EQ(tally.lateness(), rescan_lateness(stream, policy));
 }
 
 }  // namespace
