@@ -4,8 +4,7 @@
 // believed round trips, while the slackness rule still answers "when".
 #include <cstdio>
 
-#include "core/multi_cloud.hpp"
-#include "models/estimator.hpp"
+#include "core/controller.hpp"
 #include "simcore/simulation.hpp"
 #include "stats/distributions.hpp"
 #include "sla/metrics.hpp"
@@ -16,11 +15,11 @@ int main() {
   sim::Simulation simulation;
   sim::RngStream root(555);
   workload::GroundTruthModel truth({}, root.substream("truth"));
-  models::OracleEstimator estimator(truth);
 
-  core::MultiCloudConfig cfg;
-  cfg.ic.ic_machines = 8;
-  cfg.slack_safety_margin = 30.0;
+  core::ControllerConfig cfg;
+  cfg.estimator = core::EstimatorKind::kOracle;
+  cfg.topology.ic_machines = 8;
+  cfg.params.slack_safety_margin = 30.0;
   cfg.bandwidth_estimator.prior_rate = 1.0e6;
 
   // Provider A: near-region, fat pipe, standard instances.
@@ -45,9 +44,9 @@ int main() {
   provider_b.downlink = provider_b.uplink;
   provider_b.downlink.base_rate = 0.8e6;
 
-  cfg.sites = {provider_a, provider_b};
-  core::MultiCloudController controller(simulation, cfg, truth,
-                                        estimator, root.substream("system"));
+  cfg.ec_sites = {provider_a, provider_b};
+  core::CloudBurstController controller(simulation, cfg, truth,
+                                        root.substream("system"));
 
   workload::WorkloadGenerator::Config gen_cfg;
   gen_cfg.bucket = workload::SizeBucket::kLargeBiased;
@@ -67,19 +66,18 @@ int main() {
   }
   simulation.run();
 
-  const auto& outcomes = controller.outcomes();
-  const auto bursts = controller.bursts_per_site();
+  const auto outcomes = controller.outcomes();
   std::printf("=== multi-cloud brokering (large bucket, 8 batches) ===\n\n");
   std::printf("jobs: %zu   makespan: %.1fs   speedup: %.2f   burst: %.2f\n",
               outcomes.size(), sla::makespan(outcomes), sla::speedup(outcomes),
               sla::burst_ratio(outcomes));
   std::printf("\nper-provider placement:\n");
   for (std::size_t s = 0; s < controller.site_count(); ++s) {
-    const auto& cluster = controller.site_cluster(s);
+    const core::EcSite& site = controller.site(s);
     std::printf("  %-12s %3zu jobs   %.0f MB moved   instance busy %.0fs\n",
-                cluster.name().c_str(), bursts[s],
-                controller.site_uplink(s).total_bytes_delivered() / 1e6,
-                cluster.total_busy_time());
+                site.cluster.name().c_str(), site.bursts,
+                site.uplink.total_bytes_delivered() / 1e6,
+                site.cluster.total_busy_time());
   }
   std::printf("\nboth providers should carry load: the near-region pipe is\n"
               "faster, but once its upload queue fills, the far-region's\n"

@@ -9,71 +9,97 @@ using cbs::sim::SimTime;
 
 BeliefState::BeliefState(
     const cbs::models::ProcessingTimeEstimator& service_estimator,
+    std::size_t ic_machines, double ic_speed, int ic_job_parallelism)
+    : service_estimator_(service_estimator),
+      ic_machines_(ic_machines),
+      ic_speed_(ic_speed) {
+  assert(ic_machines > 0 && ic_speed > 0.0);
+  assert(ic_job_parallelism >= 1);
+  ic_job_rate_ = ic_speed * static_cast<double>(std::min<std::size_t>(
+                                ic_machines, static_cast<std::size_t>(
+                                                 ic_job_parallelism)));
+}
+
+BeliefState::BeliefState(
+    const cbs::models::ProcessingTimeEstimator& service_estimator,
     const cbs::net::BandwidthEstimator& uplink_estimator,
     const cbs::net::BandwidthEstimator& downlink_estimator,
     std::size_t ic_machines, double ic_speed, std::size_t ec_machines,
     double ec_speed, int ic_job_parallelism, int ec_job_parallelism,
     double ec_job_overhead_seconds)
-    : service_estimator_(service_estimator),
-      uplink_(uplink_estimator),
-      downlink_(downlink_estimator),
-      ic_machines_(ic_machines),
-      ic_speed_(ic_speed),
-      ec_machines_(ec_machines),
-      ec_speed_(ec_speed) {
-  assert(ic_machines > 0 && ic_speed > 0.0);
-  assert(ec_machines > 0 && ec_speed > 0.0);
-  assert(ic_job_parallelism >= 1 && ec_job_parallelism >= 1);
-  assert(ec_job_overhead_seconds >= 0.0);
-  ec_job_overhead_ = ec_job_overhead_seconds;
-  ic_job_rate_ = ic_speed * static_cast<double>(std::min<std::size_t>(
-                                ic_machines, static_cast<std::size_t>(
-                                                 ic_job_parallelism)));
-  ec_job_rate_ = ec_speed * static_cast<double>(std::min<std::size_t>(
-                                ec_machines, static_cast<std::size_t>(
-                                                 ec_job_parallelism)));
+    : BeliefState(service_estimator, ic_machines, ic_speed,
+                  ic_job_parallelism) {
+  add_ec_site(uplink_estimator, downlink_estimator, ec_machines, ec_speed,
+              ec_job_parallelism, ec_job_overhead_seconds);
 }
 
 BeliefState::BeliefState(
     const BeliefState& src,
-    const cbs::models::ProcessingTimeEstimator& service_estimator,
-    const cbs::net::BandwidthEstimator& uplink_estimator,
-    const cbs::net::BandwidthEstimator& downlink_estimator)
+    const cbs::models::ProcessingTimeEstimator& service_estimator)
     : service_estimator_(service_estimator),
-      uplink_(uplink_estimator),
-      downlink_(downlink_estimator),
       ic_machines_(src.ic_machines_),
       ic_speed_(src.ic_speed_),
-      ec_machines_(src.ec_machines_),
-      ec_speed_(src.ec_speed_),
       ic_job_rate_(src.ic_job_rate_),
-      ec_job_rate_(src.ec_job_rate_),
-      ec_job_overhead_(src.ec_job_overhead_),
+      ec_sites_(src.ec_sites_),
       ic_jobs_(src.ic_jobs_),
       ic_outstanding_seconds_(src.ic_outstanding_seconds_),
       ec_jobs_(src.ec_jobs_),
       ec_finish_heap_(src.ec_finish_heap_),
-      ec_outstanding_seconds_(src.ec_outstanding_seconds_),
-      upload_backlog_bytes_(src.upload_backlog_bytes_),
-      view_(src.view_),
-      ec_risk_factor_(src.ec_risk_factor_) {}
+      view_(src.view_) {}
+
+std::size_t BeliefState::add_ec_site(
+    const cbs::net::BandwidthEstimator& uplink_estimator,
+    const cbs::net::BandwidthEstimator& downlink_estimator,
+    std::size_t machines, double speed, int job_parallelism,
+    double job_overhead_seconds) {
+  assert(machines > 0 && speed > 0.0);
+  assert(job_parallelism >= 1);
+  assert(job_overhead_seconds >= 0.0);
+  EcSiteBelief site{.uplink = uplink_estimator,
+                    .downlink = downlink_estimator,
+                    .machines = machines,
+                    .speed = speed};
+  site.job_rate = speed * static_cast<double>(std::min<std::size_t>(
+                              machines,
+                              static_cast<std::size_t>(job_parallelism)));
+  site.job_overhead = job_overhead_seconds;
+  ec_sites_.push_back(site);
+  return ec_sites_.size() - 1;
+}
+
+void BeliefState::rebind_ec_site(
+    std::size_t site, const cbs::net::BandwidthEstimator& uplink_estimator,
+    const cbs::net::BandwidthEstimator& downlink_estimator) {
+  ec_sites_[site].uplink = uplink_estimator;
+  ec_sites_[site].downlink = downlink_estimator;
+}
 
 double BeliefState::estimate_service(const cbs::workload::Document& doc) const {
   return service_estimator_.estimate_seconds(doc);
 }
 
-double BeliefState::upload_seconds_for(SimTime t, double bytes) const {
-  if (view_ == BandwidthView::kTransient) {
-    return bytes / std::max(uplink_.last_observed(), 1.0);
-  }
-  return uplink_.estimate_transfer_seconds(t, bytes);
+double BeliefState::processing_seconds(
+    const EcSiteBelief& site, const cbs::workload::Document& doc) const {
+  // Risk pricing: predicted EC failure risk inflates the believed
+  // processing term (× 1.0 exactly when the hazard predictor is off).
+  return (site.job_overhead + estimate_service(doc) / site.job_rate) *
+         (1.0 + site.risk_factor);
 }
 
-double BeliefState::download_seconds_for(SimTime t, double bytes) const {
+double BeliefState::upload_seconds_for(const EcSiteBelief& site, SimTime t,
+                                       double bytes) const {
   if (view_ == BandwidthView::kTransient) {
-    return bytes / std::max(downlink_.last_observed(), 1.0);
+    return bytes / std::max(site.uplink.get().last_observed(), 1.0);
   }
-  return downlink_.estimate_transfer_seconds(t, bytes);
+  return site.uplink.get().estimate_transfer_seconds(t, bytes);
+}
+
+double BeliefState::download_seconds_for(const EcSiteBelief& site, SimTime t,
+                                         double bytes) const {
+  if (view_ == BandwidthView::kTransient) {
+    return bytes / std::max(site.downlink.get().last_observed(), 1.0);
+  }
+  return site.downlink.get().estimate_transfer_seconds(t, bytes);
 }
 
 SimTime BeliefState::ic_drain_time(SimTime now) const {
@@ -87,30 +113,28 @@ SimTime BeliefState::ft_ic(const cbs::workload::Document& doc, SimTime now) cons
   return now + ic_outstanding_seconds_ / ic_capacity() + est / ic_job_rate_;
 }
 
-EcEstimate BeliefState::ft_ec(const cbs::workload::Document& doc,
-                              SimTime now) const {
+EcEstimate BeliefState::ft_ec(const cbs::workload::Document& doc, SimTime now,
+                              std::size_t site) const {
+  const EcSiteBelief& ec = ec_sites_[site];
   EcEstimate e;
+  e.site = site;
   // Upload: queued bytes ahead of us plus our own, at the believed rate.
   e.upload_seconds =
-      upload_seconds_for(now, upload_backlog_bytes_ + doc.input_bytes());
+      upload_seconds_for(ec, now, ec.upload_backlog_bytes + doc.input_bytes());
   const SimTime upload_done = now + e.upload_seconds;
 
   // EC compute: outstanding believed work drains meanwhile; whatever is
   // left when our bytes land queues ahead of us.
-  const double drained = (upload_done - now) * ec_capacity();
-  const double backlog_left = std::max(0.0, ec_outstanding_seconds_ - drained);
-  e.ec_wait_seconds = backlog_left / ec_capacity();
-  // Risk pricing: predicted EC failure risk inflates the believed
-  // processing term (× 1.0 exactly when the hazard predictor is off).
-  e.processing_seconds =
-      (ec_job_overhead_ + estimate_service(doc) / ec_job_rate_) *
-      (1.0 + ec_risk_factor_);
+  const double drained = (upload_done - now) * ec.capacity();
+  const double backlog_left = std::max(0.0, ec.outstanding_seconds - drained);
+  e.ec_wait_seconds = backlog_left / ec.capacity();
+  e.processing_seconds = processing_seconds(ec, doc);
   const SimTime proc_done =
       upload_done + e.ec_wait_seconds + e.processing_seconds;
 
   // Download of the (estimated) output at the believed downlink rate at
   // that future time — the l(t_i + t') term of Eq. 2.
-  e.download_seconds = download_seconds_for(proc_done, doc.output_bytes());
+  e.download_seconds = download_seconds_for(ec, proc_done, doc.output_bytes());
   e.finish = proc_done + e.download_seconds;
   return e;
 }
@@ -119,30 +143,29 @@ EcEstimate BeliefState::ft_ec_job_level(
     const cbs::workload::Document& doc, SimTime now,
     double observed_upload_backlog_bytes,
     double observed_download_backlog_bytes) const {
+  const EcSiteBelief& ec = ec_sites_.front();
   EcEstimate e;
   e.upload_seconds = upload_seconds_for(
-      now, observed_upload_backlog_bytes + doc.input_bytes());
+      ec, now, observed_upload_backlog_bytes + doc.input_bytes());
   const SimTime upload_done = now + e.upload_seconds;
-  const double drained = (upload_done - now) * ec_capacity();
-  const double backlog_left = std::max(0.0, ec_outstanding_seconds_ - drained);
-  e.ec_wait_seconds = backlog_left / ec_capacity();
-  e.processing_seconds =
-      (ec_job_overhead_ + estimate_service(doc) / ec_job_rate_) *
-      (1.0 + ec_risk_factor_);
+  const double drained = (upload_done - now) * ec.capacity();
+  const double backlog_left = std::max(0.0, ec.outstanding_seconds - drained);
+  e.ec_wait_seconds = backlog_left / ec.capacity();
+  e.processing_seconds = processing_seconds(ec, doc);
   const SimTime proc_done = upload_done + e.ec_wait_seconds + e.processing_seconds;
   e.download_seconds = download_seconds_for(
-      proc_done, observed_download_backlog_bytes + doc.output_bytes());
+      ec, proc_done, observed_download_backlog_bytes + doc.output_bytes());
   e.finish = proc_done + e.download_seconds;
   return e;
 }
 
 double BeliefState::ec_round_trip_no_load(const cbs::workload::Document& doc,
                                           SimTime now) const {
-  const double up = upload_seconds_for(now, doc.input_bytes());
-  const double proc =
-      (ec_job_overhead_ + estimate_service(doc) / ec_job_rate_) *
-      (1.0 + ec_risk_factor_);
-  const double down = download_seconds_for(now + up + proc, doc.output_bytes());
+  const EcSiteBelief& ec = ec_sites_.front();
+  const double up = upload_seconds_for(ec, now, doc.input_bytes());
+  const double proc = processing_seconds(ec, doc);
+  const double down =
+      download_seconds_for(ec, now + up + proc, doc.output_bytes());
   return up + proc + down;
 }
 
@@ -190,8 +213,8 @@ void BeliefState::commit_ic(std::uint64_t seq, double estimated_service) {
 void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& doc,
                             const EcEstimate& estimate) {
   const double proc_standard = estimate_service(doc);
-  const bool inserted =
-      ec_jobs_.emplace(seq, EcJob{estimate.finish, proc_standard});
+  const bool inserted = ec_jobs_.emplace(
+      seq, EcJob{estimate.finish, proc_standard, estimate.site});
   assert(inserted && "seq committed to EC twice");
   (void)inserted;
   // Stale records (from completions/retractions) accumulate until they
@@ -206,8 +229,9 @@ void BeliefState::commit_ec(std::uint64_t seq, const cbs::workload::Document& do
   }
   ec_finish_heap_.emplace_back(estimate.finish, seq);
   std::push_heap(ec_finish_heap_.begin(), ec_finish_heap_.end());
-  ec_outstanding_seconds_ += proc_standard;
-  upload_backlog_bytes_ += doc.input_bytes();
+  EcSiteBelief& site = ec_sites_[estimate.site];
+  site.outstanding_seconds += proc_standard;
+  site.upload_backlog_bytes += doc.input_bytes();
 }
 
 void BeliefState::on_ic_complete(std::uint64_t seq) {
@@ -221,13 +245,14 @@ void BeliefState::on_ic_complete(std::uint64_t seq) {
 void BeliefState::on_ec_complete(std::uint64_t seq) {
   const EcJob* job = ec_jobs_.find(seq);
   assert(job != nullptr);
-  ec_outstanding_seconds_ =
-      std::max(0.0, ec_outstanding_seconds_ - job->processing_seconds);
+  double& outstanding = ec_sites_[job->site].outstanding_seconds;
+  outstanding = std::max(0.0, outstanding - job->processing_seconds);
   ec_jobs_.erase(seq);
 }
 
-void BeliefState::on_upload_complete(double bytes) {
-  upload_backlog_bytes_ = std::max(0.0, upload_backlog_bytes_ - bytes);
+void BeliefState::on_upload_complete(double bytes, std::size_t site) {
+  double& backlog = ec_sites_[site].upload_backlog_bytes;
+  backlog = std::max(0.0, backlog - bytes);
 }
 
 void BeliefState::retract_ic(std::uint64_t seq) {
@@ -235,8 +260,11 @@ void BeliefState::retract_ic(std::uint64_t seq) {
 }
 
 void BeliefState::retract_ec(std::uint64_t seq, double pending_upload_bytes) {
+  const EcJob* job = ec_jobs_.find(seq);
+  assert(job != nullptr);
+  const std::size_t site = job->site;
   on_ec_complete(seq);
-  on_upload_complete(pending_upload_bytes);
+  on_upload_complete(pending_upload_bytes, site);
 }
 
 }  // namespace cbs::core

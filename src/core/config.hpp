@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "compute/job_store.hpp"
 #include "models/hazard.hpp"
@@ -62,12 +63,11 @@ struct SchedulerParams {
   std::uint64_t random_seed = 12345;
 };
 
-/// Hybrid-cloud topology (§V.A test bed: 8 internal VMs, 2 EMR VMs).
+/// Internal-cloud topology and the job shape on either cloud (§V.A test
+/// bed: 8 internal VMs; the external side is ControllerConfig::ec_sites).
 struct TopologyConfig {
   std::size_t ic_machines = 8;
   double ic_speed = 1.0;
-  std::size_t ec_machines = 2;
-  double ec_speed = 1.0;
   /// Map-task granularity on either cluster (MB of input per map task).
   double map_chunk_mb = 16.0;
   /// Hadoop task-slot cap: how many map tasks of ONE job may run
@@ -77,11 +77,23 @@ struct TopologyConfig {
   int max_map_tasks_per_job = 1;
   /// Merge/compress cost per MB of output on the executing cluster.
   double merge_seconds_per_output_mb = 0.05;
-  /// Fixed per-job overhead on the external cloud (S3 staging, EMR job
-  /// setup and task scheduling) — machine-occupying time added to every EC
-  /// job. This is what makes bursting a small job unattractive when the
+};
+
+/// One external cloud provider: its cluster and its own pipe. The paper's
+/// test bed is one site (2 EMR VMs); several sites are the pool of §I
+/// ("one could possibly choose from a pool of Cloud Providers at
+/// run-time"), differing in instance count, speed and path bandwidth.
+struct EcSiteConfig {
+  std::string name = "ec";
+  std::size_t machines = 2;
+  double speed = 1.0;
+  /// Fixed per-job overhead on this site (S3 staging, EMR job setup and
+  /// task scheduling) — machine-occupying time added to every job run
+  /// here. This is what makes bursting a small job unattractive when the
   /// internal queue is short.
-  double ec_job_overhead_seconds = 30.0;
+  double job_overhead_seconds = 30.0;
+  cbs::net::LinkConfig uplink{};
+  cbs::net::LinkConfig downlink{};
 };
 
 /// §V.B.4 future work: elastic scaling of the external cloud — "the
@@ -138,8 +150,12 @@ struct ControllerConfig {
   SchedulerParams params{};
   TopologyConfig topology{};
 
-  cbs::net::LinkConfig uplink{};
-  cbs::net::LinkConfig downlink{};
+  /// The external sites. Site 0 is the paper's single EC; with more than
+  /// one, order-preserving placement bursts each job to the site with the
+  /// earliest believed round trip. Faults, elastic scaling, the
+  /// rescheduler and the hazard predictor act on site 0 only, so
+  /// ec_site_problems() rejects them with several sites.
+  std::vector<EcSiteConfig> ec_sites{EcSiteConfig{}};
   cbs::net::BandwidthEstimator::Config bandwidth_estimator{};
   cbs::net::ThreadTuner::Config thread_tuner{};
 
@@ -181,6 +197,13 @@ struct ControllerConfig {
   cbs::sim::LogLevel log_threshold = cbs::sim::LogLevel::kWarn;
   cbs::sim::Logger::Sink log_sink{};
 };
+
+/// Checks the EC site list: at least one site, each with machines, a
+/// positive finite speed and a finite non-negative overhead, and several
+/// sites only with a scheduler and features that handle them. One message
+/// per problem; empty when the controller can be built.
+[[nodiscard]] std::vector<std::string> ec_site_problems(
+    const ControllerConfig& config);
 
 /// Returns a config calibrated so that mean transfer time is of the order
 /// of mean processing time on the default workload — the regime the paper

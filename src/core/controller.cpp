@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "models/per_class_qrsm.hpp"
@@ -33,6 +34,35 @@ std::unique_ptr<models::ProcessingTimeEstimator> make_estimator(
 std::string input_key(std::uint64_t seq) { return "in/" + std::to_string(seq); }
 std::string output_key(std::uint64_t seq) { return "out/" + std::to_string(seq); }
 
+/// The config, once ec_site_problems() finds nothing wrong with it: bad
+/// sites are an error here, before any member asserts on them.
+ControllerConfig checked(ControllerConfig config) {
+  const std::vector<std::string> problems = ec_site_problems(config);
+  if (!problems.empty()) throw std::invalid_argument(problems.front());
+  return config;
+}
+
+std::vector<std::unique_ptr<EcSite>> make_sites(cbs::sim::Simulation& sim,
+                                                const ControllerConfig& config,
+                                                const cbs::sim::RngStream& rng) {
+  std::vector<std::unique_ptr<EcSite>> sites;
+  sites.reserve(config.ec_sites.size());
+  for (std::size_t i = 0; i < config.ec_sites.size(); ++i) {
+    sites.push_back(std::make_unique<EcSite>(sim, config, i, rng));
+  }
+  return sites;
+}
+
+std::vector<std::unique_ptr<EcSite>> clone_sites(
+    cbs::sim::Simulation& dst, const std::vector<std::unique_ptr<EcSite>>& src) {
+  std::vector<std::unique_ptr<EcSite>> sites;
+  sites.reserve(src.size());
+  for (const auto& site : src) {
+    sites.push_back(std::make_unique<EcSite>(dst, *site));
+  }
+  return sites;
+}
+
 }  // namespace
 
 CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
@@ -40,43 +70,33 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
                                            cbs::workload::GroundTruthModel& truth,
                                            cbs::sim::RngStream rng)
     : sim_(sim),
-      config_(std::move(config)),
+      config_(checked(std::move(config))),
       truth_(truth),
       log_("controller", config_.log_threshold),
       ic_cluster_(sim, "ic", config_.topology.ic_machines, config_.topology.ic_speed),
-      ec_cluster_(sim, "ec", config_.topology.ec_machines, config_.topology.ec_speed),
       ic_runtime_(sim, ic_cluster_),
-      ec_runtime_(sim, ec_cluster_),
-      uplink_(sim, config_.uplink, rng.substream("uplink")),
-      downlink_(sim, config_.downlink, rng.substream("downlink")),
-      store_(sim, config_.store),
-      uplink_estimator_(config_.bandwidth_estimator),
-      downlink_estimator_(config_.bandwidth_estimator),
-      up_tuner_(config_.thread_tuner),
-      down_tuner_(config_.thread_tuner),
+      sites_(make_sites(sim, config_, rng)),
       proc_estimator_(make_estimator(config_.estimator, truth)),
-      belief_(*proc_estimator_, uplink_estimator_, downlink_estimator_,
-              config_.topology.ic_machines, config_.topology.ic_speed,
-              config_.topology.ec_machines, config_.topology.ec_speed,
-              config_.topology.max_map_tasks_per_job,
-              config_.topology.max_map_tasks_per_job,
-              config_.topology.ec_job_overhead_seconds),
-      scheduler_(make_scheduler(config_.scheduler)),
-      upload_queues_(sim, uplink_, up_tuner_,
-                     config_.scheduler == SchedulerKind::kBandwidthSplit
-                         ? config_.params.size_interval_queues
-                         : 1,
-                     config_.scheduler == SchedulerKind::kBandwidthSplit
-                         ? 1
-                         : config_.single_queue_upload_slots),
-      download_queue_(sim, downlink_, down_tuner_, 1, config_.download_slots) {
+      belief_(*proc_estimator_, config_.topology.ic_machines,
+              config_.topology.ic_speed,
+              config_.topology.max_map_tasks_per_job),
+      scheduler_(make_scheduler(config_.scheduler)) {
   if (config_.log_sink) log_.set_sink(config_.log_sink);
   wire_hooks();
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    const EcSiteConfig& site = config_.ec_sites[i];
+    belief_.add_ec_site(sites_[i]->uplink_estimator,
+                        sites_[i]->downlink_estimator, site.machines,
+                        site.speed, config_.topology.max_map_tasks_per_job,
+                        site.job_overhead_seconds);
+    wire_site(i);
+  }
   if (config_.scheduler == SchedulerKind::kGreedy) {
     // Algorithm 1 conditions on "the current transit bandwidth" — the
     // transient reading, not the learned time-of-day model (§IV.D).
     belief_.set_bandwidth_view(BandwidthView::kTransient);
   }
+  const std::size_t ec_machines = config_.ec_sites.front().machines;
   if (config_.faults.enabled()) {
     fault_plan_ = std::make_unique<sim::FaultPlan>(sim_, config_.faults,
                                                    rng.substream("faults"));
@@ -86,7 +106,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
         [this](std::size_t m) { on_ic_crash(m); },
         [this](std::size_t m) { on_ic_recover(m); });
     fault_plan_->drive_vm_crashes(
-        "ec", config_.topology.ec_machines, config_.faults.ec_vm_mtbf,
+        "ec", ec_machines, config_.faults.ec_vm_mtbf,
         [this](std::size_t m) { on_ec_crash(m); },
         [this](std::size_t m) { on_ec_recover(m); });
     fault_plan_->drive_outages(
@@ -97,7 +117,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
     ic_hazard_ = std::make_unique<models::VmHazardEstimator>(
         config_.resilience.hazard, config_.topology.ic_machines, sim_.now());
     ec_hazard_ = std::make_unique<models::VmHazardEstimator>(
-        config_.resilience.hazard, config_.topology.ec_machines, sim_.now());
+        config_.resilience.hazard, ec_machines, sim_.now());
   }
 }
 
@@ -109,22 +129,11 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
       truth_(truth),
       log_("controller", config_.log_threshold),
       ic_cluster_(dst, src.ic_cluster_),
-      ec_cluster_(dst, src.ec_cluster_),
       ic_runtime_(dst, src.ic_runtime_, ic_cluster_),
-      ec_runtime_(dst, src.ec_runtime_, ec_cluster_),
-      uplink_(dst, src.uplink_),
-      downlink_(dst, src.downlink_),
-      store_(dst, src.store_),
-      uplink_estimator_(src.uplink_estimator_),
-      downlink_estimator_(src.downlink_estimator_),
-      up_tuner_(src.up_tuner_),
-      down_tuner_(src.down_tuner_),
+      sites_(clone_sites(dst, src.sites_)),
       proc_estimator_(src.proc_estimator_->clone(truth)),
-      belief_(src.belief_, *proc_estimator_, uplink_estimator_,
-              downlink_estimator_),
+      belief_(src.belief_, *proc_estimator_),
       scheduler_(src.scheduler_->clone()),
-      upload_queues_(dst, src.upload_queues_, uplink_, up_tuner_),
-      download_queue_(dst, src.download_queue_, downlink_, down_tuner_),
       jobs_(src.jobs_),
       ic_wait_(src.ic_wait_),
       outcomes_(src.outcomes_),
@@ -151,12 +160,19 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
   assert(scheduler_ != nullptr && "scheduler does not support forking");
   if (config_.log_sink) log_.set_sink(config_.log_sink);
   wire_hooks();
-  // Slot indices are the cross-fork contract: pending transfers/ops carry
-  // them, so registration order on the clone must reproduce the source's.
-  assert(store_input_slot_ == src.store_input_slot_);
-  assert(store_output_slot_ == src.store_output_slot_);
-  assert(probe_up_slot_ == src.probe_up_slot_);
-  assert(probe_down_slot_ == src.probe_down_slot_);
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    EcSite& site = *sites_[i];
+    belief_.rebind_ec_site(i, site.uplink_estimator, site.downlink_estimator);
+    wire_site(i);
+    // Slot indices are the cross-fork contract: pending transfers/ops
+    // carry them, so registration on the clone must reproduce the source's.
+    const EcSite& from = *src.sites_[i];
+    assert(site.store_input_slot == from.store_input_slot);
+    assert(site.store_output_slot == from.store_output_slot);
+    assert(site.probe_up_slot == from.probe_up_slot);
+    assert(site.probe_down_slot == from.probe_down_slot);
+    (void)from;
+  }
   for (const auto& entry : src.alt_schedulers_) {
     auto copy = entry.second->clone();
     assert(copy != nullptr);
@@ -173,7 +189,7 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
           idx++, [this](std::size_t m) { on_ic_crash(m); },
           [this](std::size_t m) { on_ic_recover(m); });
     }
-    if (config_.faults.ec_vm_mtbf > 0.0 && config_.topology.ec_machines > 0) {
+    if (config_.faults.ec_vm_mtbf > 0.0) {
       fault_plan_->rebind_cluster_hooks(
           idx++, [this](std::size_t m) { on_ec_crash(m); },
           [this](std::size_t m) { on_ec_recover(m); });
@@ -189,49 +205,55 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
 }
 
 void CloudBurstController::wire_hooks() {
-  upload_queues_.set_on_complete(
-      [this](std::uint64_t seq, int, const net::TransferRecord& rec) {
-        on_upload_done(seq, rec);
-      });
-  download_queue_.set_on_complete(
-      [this](std::uint64_t seq, int, const net::TransferRecord& rec) {
-        on_download_done(seq, rec);
-      });
   ic_cluster_.set_task_done_hook([this] { dispatch_ic(); });
   ic_runtime_.set_on_complete(
       [this](const compute::MapReduceRecord& rec) { on_ic_done(rec.job_id); });
-  ec_runtime_.set_on_complete([this](const compute::MapReduceRecord& rec) {
-    on_ec_proc_done(rec.job_id);
-  });
   if (config_.enable_rescheduler) {
     ic_cluster_.set_idle_hook([this](std::size_t) { maybe_pull_back(); });
   }
-  // Link-handler registration order is part of the fork contract: the
-  // transfer queue sets claimed slot 0 of each link during member
-  // construction, so the probe handlers land on slot 1 in source and clone
-  // alike.
-  probe_up_slot_ = uplink_.register_handler(
-      [this](std::uint64_t, const net::TransferRecord& rec) {
-        uplink_estimator_.observe(sim_.now(), rec.transfer_rate());
-        up_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
+}
+
+void CloudBurstController::wire_site(std::size_t index) {
+  EcSite& site = *sites_[index];
+  site.upload_queues.set_on_complete(
+      [this, index](std::uint64_t seq, int, const net::TransferRecord& rec) {
+        on_upload_done(index, seq, rec);
       });
-  probe_down_slot_ = downlink_.register_handler(
-      [this](std::uint64_t, const net::TransferRecord& rec) {
-        downlink_estimator_.observe(sim_.now(), rec.transfer_rate());
-        down_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
+  site.download_queue.set_on_complete(
+      [this, index](std::uint64_t seq, int, const net::TransferRecord& rec) {
+        on_download_done(index, seq, rec);
       });
-  store_input_slot_ = store_.register_continuation(
-      [this](std::uint64_t seq, bool ok, double) { on_input_staged(seq, ok); });
-  store_output_slot_ = store_.register_continuation(
-      [this](std::uint64_t seq, bool ok, double) { on_output_staged(seq, ok); });
+  site.runtime.set_on_complete(
+      [this, index](const compute::MapReduceRecord& rec) {
+        on_ec_proc_done(index, rec.job_id);
+      });
+  // The transfer queue sets claimed slot 0 of each link when the site was
+  // built, so the probe handlers land on slot 1 in source and clone alike.
+  site.probe_up_slot = site.uplink.register_handler(
+      [this, index](std::uint64_t, const net::TransferRecord& rec) {
+        EcSite& s = *sites_[index];
+        s.uplink_estimator.observe(sim_.now(), rec.transfer_rate());
+        s.up_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+      });
+  site.probe_down_slot = site.downlink.register_handler(
+      [this, index](std::uint64_t, const net::TransferRecord& rec) {
+        EcSite& s = *sites_[index];
+        s.downlink_estimator.observe(sim_.now(), rec.transfer_rate());
+        s.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+      });
+  site.store_input_slot = site.store.register_continuation(
+      [this, index](std::uint64_t seq, bool ok, double) {
+        on_input_staged(index, seq, ok);
+      });
+  site.store_output_slot = site.store.register_continuation(
+      [this, index](std::uint64_t seq, bool ok, double) {
+        on_output_staged(index, seq, ok);
+      });
 }
 
 void CloudBurstController::rebuild_events(cbs::sim::SnapshotContext& ctx) {
-  uplink_.rebuild_events(ctx);
-  downlink_.rebuild_events(ctx);
   ic_cluster_.rebuild_events(ctx);
-  ec_cluster_.rebuild_events(ctx);
-  store_.rebuild_events(ctx);
+  for (auto& site : sites_) site->rebuild_events(ctx);
   if (fault_plan_) fault_plan_->rebuild_events(ctx);
   for (auto& entry : burst_deadlines_) {
     const std::uint64_t seq = entry.first;
@@ -286,8 +308,9 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
       .next_seq = &next_seq_,
       .next_doc_id = &next_doc_id_,
       .ic_machines = config_.topology.ic_machines,
-      .upload_class_backlog_bytes = upload_queues_.backlog_bytes_per_class(),
-      .download_backlog_bytes = download_queue_.total_backlog_bytes(),
+      .upload_class_backlog_bytes =
+          first_site().upload_queues.backlog_bytes_per_class(),
+      .download_backlog_bytes = first_site().download_queue.total_backlog_bytes(),
   };
   auto decisions = scheduler_->schedule_batch(batch.documents, ctx);
 
@@ -315,7 +338,9 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
       ic_wait_.push_back(d.seq_id);
     } else {
       set_state(job_at(d.seq_id), JobState::kUploadQueued);
-      upload_queues_.enqueue(d.seq_id, d.doc.input_bytes(), d.upload_class);
+      EcSite& site = *sites_[d.ec_estimate.site];
+      site.upload_queues.enqueue(d.seq_id, d.doc.input_bytes(), d.upload_class);
+      ++site.bursts;
       arm_burst_deadline(d.seq_id);
     }
   }
@@ -323,7 +348,7 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
   ensure_probing();
   ensure_elastic_check();
   if (fault_plan_) fault_plan_->ensure_armed();
-  if (config_.enable_rescheduler && upload_queues_.idle()) {
+  if (config_.enable_rescheduler && first_site().upload_queues.idle()) {
     maybe_push_out();
   }
 }
@@ -403,58 +428,66 @@ void CloudBurstController::on_ic_done(std::uint64_t seq) {
   dispatch_ic();
   // Each internal completion is a fresh look at the §IV.D condition: "when
   // the EC upload queue is idle and IC has jobs waiting to execute".
-  if (config_.enable_rescheduler && upload_queues_.idle() && outstanding_ > 0) {
+  if (config_.enable_rescheduler && first_site().upload_queues.idle() &&
+      outstanding_ > 0) {
     maybe_push_out();
   }
 }
 
-void CloudBurstController::on_upload_done(std::uint64_t seq,
+void CloudBurstController::on_upload_done(std::size_t site_index,
+                                          std::uint64_t seq,
                                           const net::TransferRecord& rec) {
+  EcSite& site = *sites_[site_index];
   disarm_burst_deadline(seq);  // past the retractable phase
-  uplink_estimator_.observe(sim_.now(), rec.transfer_rate());
-  up_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
-  belief_.on_upload_complete(rec.bytes);
+  site.uplink_estimator.observe(sim_.now(), rec.transfer_rate());
+  site.up_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
+  belief_.on_upload_complete(rec.bytes, site_index);
 
   // Stage the input. With the store healthy this completes synchronously;
   // during an outage it retries with backoff, and a permanent failure
   // falls back to internal execution (the upload was wasted).
-  store_.put_async(input_key(seq), rec.bytes, store_input_slot_, seq);
+  site.store.put_async(input_key(seq), rec.bytes, site.store_input_slot, seq);
 
-  if (config_.enable_rescheduler && upload_queues_.idle()) {
+  if (config_.enable_rescheduler && site.upload_queues.idle()) {
     maybe_push_out();
   }
 }
 
-void CloudBurstController::on_input_staged(std::uint64_t seq, bool ok) {
+void CloudBurstController::on_input_staged(std::size_t site_index,
+                                           std::uint64_t seq, bool ok) {
   if (ok) {
-    start_ec_processing(seq);
+    start_ec_processing(site_index, seq);
   } else {
     readmit_to_ic(seq, 0.0, "input staging abandoned");
   }
 }
 
-void CloudBurstController::start_ec_processing(std::uint64_t seq) {
+void CloudBurstController::start_ec_processing(std::size_t site_index,
+                                               std::uint64_t seq) {
   Job& job = job_at(seq);
   set_state(job, JobState::kEcRunning);
   compute::MapReduceSpec spec =
       spec_for(job, config_.topology.merge_seconds_per_output_mb);
   // EMR job setup/staging occupies the executing instance; book it on the
   // merge task (speed-scaled so it costs the configured wall seconds).
-  spec.merge_seconds +=
-      config_.topology.ec_job_overhead_seconds * config_.topology.ec_speed;
-  ec_runtime_.run(spec);
+  const EcSiteConfig& site = config_.ec_sites[site_index];
+  spec.merge_seconds += site.job_overhead_seconds * site.speed;
+  sites_[site_index]->runtime.run(spec);
 }
 
-void CloudBurstController::on_ec_proc_done(std::uint64_t seq) {
+void CloudBurstController::on_ec_proc_done(std::size_t site_index,
+                                           std::uint64_t seq) {
+  EcSite& site = *sites_[site_index];
   Job& job = job_at(seq);
   // The merge task already covered compression cost; swap input for the
   // compressed output in the store and ship it home.
-  store_.erase(input_key(seq));
-  store_.put_async(output_key(seq), job.doc.output_bytes(), store_output_slot_,
-                   seq);
+  site.store.erase(input_key(seq));
+  site.store.put_async(output_key(seq), job.doc.output_bytes(),
+                       site.store_output_slot, seq);
 }
 
-void CloudBurstController::on_output_staged(std::uint64_t seq, bool ok) {
+void CloudBurstController::on_output_staged(std::size_t site_index,
+                                            std::uint64_t seq, bool ok) {
   if (!ok) {
     // The result exists only on EC and cannot be staged for download:
     // the external execution is wasted, re-run internally.
@@ -463,16 +496,18 @@ void CloudBurstController::on_output_staged(std::uint64_t seq, bool ok) {
   }
   Job& job = job_at(seq);
   set_state(job, JobState::kDownloading);
-  download_queue_.enqueue(seq, job.doc.output_bytes(), 0);
+  sites_[site_index]->download_queue.enqueue(seq, job.doc.output_bytes(), 0);
 }
 
-void CloudBurstController::on_download_done(std::uint64_t seq,
+void CloudBurstController::on_download_done(std::size_t site_index,
+                                            std::uint64_t seq,
                                             const net::TransferRecord& rec) {
-  downlink_estimator_.observe(sim_.now(), rec.transfer_rate());
-  down_tuner_.report(sim_.now(), rec.threads, rec.transfer_rate());
+  EcSite& site = *sites_[site_index];
+  site.downlink_estimator.observe(sim_.now(), rec.transfer_rate());
+  site.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
 
   Job& job = job_at(seq);
-  store_.erase(output_key(seq));
+  site.store.erase(output_key(seq));
   belief_.on_ec_complete(seq);
   proc_estimator_->observe(job.doc, job.true_service_seconds);
   finish_job(job);
@@ -491,10 +526,13 @@ void CloudBurstController::finish_job(Job& job) {
 
 sla::CostInputs CloudBurstController::cost_inputs() const {
   sla::CostInputs in;
-  in.ec_provisioned_machine_seconds = ec_cluster_.provisioned_machine_seconds();
-  in.uplink_bytes = uplink_.total_bytes_delivered();
-  in.downlink_bytes = downlink_.total_bytes_delivered();
-  in.store_byte_seconds = store_.occupancy_byte_seconds();
+  for (const auto& site : sites_) {
+    in.ec_provisioned_machine_seconds +=
+        site->cluster.provisioned_machine_seconds();
+    in.uplink_bytes += site->uplink.total_bytes_delivered();
+    in.downlink_bytes += site->downlink.total_bytes_delivered();
+    in.store_byte_seconds += site->store.occupancy_byte_seconds();
+  }
   in.ic_machine_seconds = ic_cluster_.provisioned_machine_seconds();
   return in;
 }
@@ -519,10 +557,13 @@ void CloudBurstController::probe() {
     return;
   }
 
-  const int up_threads = up_tuner_.suggest(sim_.now());
-  uplink_.submit(config_.probe_bytes, up_threads, probe_up_slot_, 0);
-  const int down_threads = down_tuner_.suggest(sim_.now());
-  downlink_.submit(config_.probe_bytes, down_threads, probe_down_slot_, 0);
+  for (auto& site : sites_) {
+    const int up_threads = site->up_tuner.suggest(sim_.now());
+    site->uplink.submit(config_.probe_bytes, up_threads, site->probe_up_slot, 0);
+    const int down_threads = site->down_tuner.suggest(sim_.now());
+    site->downlink.submit(config_.probe_bytes, down_threads,
+                          site->probe_down_slot, 0);
+  }
   ensure_probing();
 }
 
@@ -558,8 +599,8 @@ void CloudBurstController::on_burst_deadline(std::uint64_t seq) {
   // Only the upload phase is retractable: once the input is staged the
   // remaining EC work is believed cheaper than starting over internally.
   if (job.state != JobState::kUploadQueued) return;
-  const bool cancelled = upload_queues_.try_cancel(seq) ||
-                         upload_queues_.try_cancel_active(seq);
+  TransferQueueSet& uploads = first_site().upload_queues;
+  const bool cancelled = uploads.try_cancel(seq) || uploads.try_cancel_active(seq);
   assert(cancelled);
   (void)cancelled;
   readmit_to_ic(seq, job.doc.input_bytes(), "round-trip deadline exceeded");
@@ -588,15 +629,16 @@ void CloudBurstController::admit_ic_in_order(std::uint64_t seq) {
 
 void CloudBurstController::on_outage_begin() {
   log_.warn(sim_.now(), "EC outage begins: links down, store unavailable");
-  uplink_.set_outage(true);
-  downlink_.set_outage(true);
-  store_.set_available(false);
+  EcSite& ec = first_site();
+  ec.uplink.set_outage(true);
+  ec.downlink.set_outage(true);
+  ec.store.set_available(false);
   // The outage is observable (connection resets): pull every upload that
   // has not started back to the IC instead of letting it queue into a
   // dead pipe. In-flight transfers keep their slot and resume — or hit
   // their retraction deadline — on their own.
-  for (const std::uint64_t seq : upload_queues_.queued_tags()) {
-    if (!upload_queues_.try_cancel(seq)) continue;
+  for (const std::uint64_t seq : ec.upload_queues.queued_tags()) {
+    if (!ec.upload_queues.try_cancel(seq)) continue;
     disarm_burst_deadline(seq);
     readmit_to_ic(seq, job_at(seq).doc.input_bytes(), "EC outage observed");
   }
@@ -604,9 +646,10 @@ void CloudBurstController::on_outage_begin() {
 
 void CloudBurstController::on_outage_end() {
   log_.info(sim_.now(), "EC outage ends");
-  uplink_.set_outage(false);
-  downlink_.set_outage(false);
-  store_.set_available(true);
+  EcSite& ec = first_site();
+  ec.uplink.set_outage(false);
+  ec.downlink.set_outage(false);
+  ec.store.set_available(true);
 }
 
 // ---- proactive failure resilience (hazard prediction, DESIGN.md §13) ----
@@ -627,15 +670,16 @@ void CloudBurstController::on_ic_recover(std::size_t machine) {
 void CloudBurstController::on_ec_crash(std::size_t machine) {
   if (ec_hazard_) {
     // Elastic EC may have grown the cluster since construction.
-    ec_hazard_->ensure_machines(ec_cluster_.machine_slots(), sim_.now());
+    ec_hazard_->ensure_machines(first_site().cluster.machine_slots(),
+                                sim_.now());
     ec_hazard_->on_failure(machine, sim_.now());
   }
-  ec_cluster_.crash_machine(machine);
+  first_site().cluster.crash_machine(machine);
   if (ec_hazard_) update_resilience();
 }
 
 void CloudBurstController::on_ec_recover(std::size_t machine) {
-  ec_cluster_.recover_machine(machine);
+  first_site().cluster.recover_machine(machine);
   if (ec_hazard_) update_resilience();
 }
 
@@ -647,7 +691,7 @@ void CloudBurstController::update_resilience() {
   ic_hazard_->settle(now);
   ec_hazard_->settle(now);
   update_cluster_drains(ic_cluster_, *ic_hazard_);
-  update_cluster_drains(ec_cluster_, *ec_hazard_);
+  update_cluster_drains(first_site().cluster, *ec_hazard_);
   // Fold the predicted EC outage risk into every believed-EC estimate via
   // a single lever: ft_ec and friends inflate their processing term by
   // (1 + risk_weight * mean failure probability). Drains are soft (they
@@ -699,13 +743,14 @@ void CloudBurstController::elastic_check() {
   elastic_event_ = cbs::sim::EventId{};
   if (outstanding_ == 0) return;  // run over; let the simulation drain
   const ElasticEcConfig& e = config_.elastic_ec;
+  compute::Cluster& ec_cluster = first_site().cluster;
 
-  const std::size_t provisioned = ec_cluster_.machine_count() + pending_boots_;
+  const std::size_t provisioned = ec_cluster.machine_count() + pending_boots_;
   // Believed wait of a newly arriving EC job behind the current queue.
   const double wait_seconds =
-      ec_cluster_.queued_standard_seconds() /
+      ec_cluster.queued_standard_seconds() /
       (static_cast<double>(std::max<std::size_t>(provisioned, 1)) *
-       config_.topology.ec_speed);
+       config_.ec_sites.front().speed);
 
   if (wait_seconds > e.grow_wait_threshold_seconds &&
       provisioned < e.max_machines) {
@@ -716,16 +761,16 @@ void CloudBurstController::elastic_check() {
     boot_events_[boot_id] =
         sim_.schedule_in(e.boot_delay, [this, boot_id] { on_boot_done(boot_id); });
   } else if (provisioned > e.min_machines && pending_boots_ == 0) {
-    const auto idle = static_cast<double>(ec_cluster_.machine_count() -
-                                          ec_cluster_.running_tasks());
-    if (ec_cluster_.queued_tasks() == 0 &&
+    const auto idle = static_cast<double>(ec_cluster.machine_count() -
+                                          ec_cluster.running_tasks());
+    if (ec_cluster.queued_tasks() == 0 &&
         idle > e.shrink_idle_fraction *
-                   static_cast<double>(ec_cluster_.machine_count())) {
-      if (ec_cluster_.remove_machine()) {
+                   static_cast<double>(ec_cluster.machine_count())) {
+      if (ec_cluster.remove_machine()) {
         ++scale_downs_;
-        belief_.set_ec_machines(ec_cluster_.machine_count());
+        belief_.set_ec_machines(ec_cluster.machine_count());
         log_.info(sim_.now(), "elastic EC: scaling down to ",
-                  ec_cluster_.machine_count());
+                  ec_cluster.machine_count());
       }
     }
   }
@@ -735,8 +780,8 @@ void CloudBurstController::elastic_check() {
 void CloudBurstController::on_boot_done(std::uint64_t boot_id) {
   boot_events_.erase(boot_id);
   --pending_boots_;
-  ec_cluster_.add_machine();
-  belief_.set_ec_machines(ec_cluster_.machine_count());
+  first_site().cluster.add_machine();
+  belief_.set_ec_machines(first_site().cluster.machine_count());
 }
 
 // ---- §IV.D rescheduling strategies (paper future work, behind a flag) --
@@ -745,7 +790,8 @@ void CloudBurstController::maybe_pull_back() {
   // An internal machine is idle with nothing waiting: reclaim the earliest
   // still-queued upload whose believed external completion is further away
   // than an internal re-execution.
-  const auto tags = upload_queues_.queued_tags();
+  TransferQueueSet& uploads = first_site().upload_queues;
+  const auto tags = uploads.queued_tags();
   for (const std::uint64_t seq : tags) {
     Job& job = job_at(seq);
     const double reexec_seconds =
@@ -755,7 +801,7 @@ void CloudBurstController::maybe_pull_back() {
     const double remaining_ec =
         belief_.ec_round_trip_no_load(job.doc, sim_.now());
     if (remaining_ec <= reexec_seconds) continue;
-    if (!upload_queues_.try_cancel(seq)) continue;
+    if (!uploads.try_cancel(seq)) continue;
     // The job may finish on IC before its retraction deadline would fire,
     // and finish_job() erases it.
     disarm_burst_deadline(seq);
@@ -791,7 +837,8 @@ void CloudBurstController::maybe_push_out() {
     belief_.commit_ec(seq, job.doc, ec);
     job.placement = Placement::kExternal;
     set_state(job, JobState::kUploadQueued);
-    upload_queues_.enqueue(seq, job.doc.input_bytes(), 0);
+    first_site().upload_queues.enqueue(seq, job.doc.input_bytes(), 0);
+    ++first_site().bursts;
     arm_burst_deadline(seq);
     ++push_outs_;
     log_.info(sim_.now(), "push-out of job ", seq, " to EC");

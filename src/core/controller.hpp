@@ -9,6 +9,7 @@
 #include "compute/mapreduce.hpp"
 #include "core/belief_state.hpp"
 #include "core/config.hpp"
+#include "core/ec_site.hpp"
 #include "core/job.hpp"
 #include "core/scheduler.hpp"
 #include "core/upload_queues.hpp"
@@ -42,6 +43,12 @@ namespace cbs::core {
 /// It owns the autonomic loop: QRSM observations after every job, EWMA
 /// bandwidth updates after every transfer, periodic 1 MB probes, and
 /// thread-count tuning.
+///
+/// The external side is a vector of EC sites (ControllerConfig::ec_sites),
+/// each with its own pipe, queues, store and cluster. The paper's setting
+/// is one site; with several, order-preserving placement answers *where*
+/// per job (the site with the earliest believed round trip) while the
+/// slack rule of Eq. 1–2 still answers *when*.
 class CloudBurstController {
  public:
   CloudBurstController(cbs::sim::Simulation& sim, ControllerConfig config,
@@ -94,18 +101,32 @@ class CloudBurstController {
   }
   [[nodiscard]] std::size_t outstanding_jobs() const noexcept { return outstanding_; }
   [[nodiscard]] const compute::Cluster& ic_cluster() const noexcept { return ic_cluster_; }
-  [[nodiscard]] const compute::Cluster& ec_cluster() const noexcept { return ec_cluster_; }
-  [[nodiscard]] const net::Link& uplink() const noexcept { return uplink_; }
-  [[nodiscard]] const net::Link& downlink() const noexcept { return downlink_; }
-  [[nodiscard]] const compute::JobStore& store() const noexcept { return store_; }
+  /// The EC sites, in ControllerConfig::ec_sites order.
+  [[nodiscard]] std::size_t site_count() const noexcept { return sites_.size(); }
+  [[nodiscard]] const EcSite& site(std::size_t index) const {
+    return *sites_.at(index);
+  }
+  // Views of site 0, the paper's single EC.
+  [[nodiscard]] const compute::Cluster& ec_cluster() const noexcept {
+    return sites_.front()->cluster;
+  }
+  [[nodiscard]] const net::Link& uplink() const noexcept {
+    return sites_.front()->uplink;
+  }
+  [[nodiscard]] const net::Link& downlink() const noexcept {
+    return sites_.front()->downlink;
+  }
+  [[nodiscard]] const compute::JobStore& store() const noexcept {
+    return sites_.front()->store;
+  }
   [[nodiscard]] const net::BandwidthEstimator& uplink_estimator() const noexcept {
-    return uplink_estimator_;
+    return sites_.front()->uplink_estimator;
   }
   [[nodiscard]] const net::BandwidthEstimator& downlink_estimator() const noexcept {
-    return downlink_estimator_;
+    return sites_.front()->downlink_estimator;
   }
   [[nodiscard]] const net::ThreadTuner& upload_tuner() const noexcept {
-    return up_tuner_;
+    return sites_.front()->up_tuner;
   }
   [[nodiscard]] const models::ProcessingTimeEstimator& service_estimator() const {
     return *proc_estimator_;
@@ -147,7 +168,8 @@ class CloudBurstController {
     return fault_plan_.get();
   }
   /// Billing inputs accumulated so far (provisioned EC machine-seconds,
-  /// bytes moved each way, staging byte-seconds, IC machine-seconds).
+  /// bytes moved each way, staging byte-seconds — summed over the sites —
+  /// and IC machine-seconds).
   [[nodiscard]] sla::CostInputs cost_inputs() const;
 
   /// One pipeline-stage transition of one job (recorded when
@@ -163,14 +185,22 @@ class CloudBurstController {
 
  private:
   void wire_hooks();
+  /// Registers the controller's hooks on site `index`. Registration order
+  /// is part of the fork contract: it must give the clone the source's
+  /// link and store slots.
+  void wire_site(std::size_t index);
+  /// Site 0: the one the single-site features (faults, elastic scaling,
+  /// the rescheduler, the hazard predictor) act on.
+  [[nodiscard]] EcSite& first_site() noexcept { return *sites_.front(); }
   void dispatch_ic();
   void run_on_ic(std::uint64_t seq);
   void on_ic_done(std::uint64_t seq);
-  void on_upload_done(std::uint64_t seq, const net::TransferRecord& rec);
-  void on_input_staged(std::uint64_t seq, bool ok);
-  void on_output_staged(std::uint64_t seq, bool ok);
-  void start_ec_processing(std::uint64_t seq);
-  void on_ec_proc_done(std::uint64_t seq);
+  void on_upload_done(std::size_t site, std::uint64_t seq,
+                      const net::TransferRecord& rec);
+  void on_input_staged(std::size_t site, std::uint64_t seq, bool ok);
+  void on_output_staged(std::size_t site, std::uint64_t seq, bool ok);
+  void start_ec_processing(std::size_t site, std::uint64_t seq);
+  void on_ec_proc_done(std::size_t site, std::uint64_t seq);
   void on_boot_done(std::uint64_t boot_id);
   void arm_burst_deadline(std::uint64_t seq);
   void disarm_burst_deadline(std::uint64_t seq);
@@ -180,7 +210,8 @@ class CloudBurstController {
   void admit_ic_in_order(std::uint64_t seq);
   void on_outage_begin();
   void on_outage_end();
-  void on_download_done(std::uint64_t seq, const net::TransferRecord& rec);
+  void on_download_done(std::size_t site, std::uint64_t seq,
+                        const net::TransferRecord& rec);
   void finish_job(Job& job);
   void set_state(Job& job, JobState state);
   void ensure_probing();
@@ -211,21 +242,13 @@ class CloudBurstController {
   sim::Logger log_;
 
   compute::Cluster ic_cluster_;
-  compute::Cluster ec_cluster_;
   compute::MapReduceRuntime ic_runtime_;
-  compute::MapReduceRuntime ec_runtime_;
-  net::Link uplink_;
-  net::Link downlink_;
-  compute::JobStore store_;
-  net::BandwidthEstimator uplink_estimator_;
-  net::BandwidthEstimator downlink_estimator_;
-  net::ThreadTuner up_tuner_;
-  net::ThreadTuner down_tuner_;
+  /// Heap-held so each site keeps its address: the queue sets and hooks
+  /// reference site members. Hooks capture the site index.
+  std::vector<std::unique_ptr<EcSite>> sites_;
   std::unique_ptr<models::ProcessingTimeEstimator> proc_estimator_;
   BeliefState belief_;
   std::unique_ptr<Scheduler> scheduler_;
-  TransferQueueSet upload_queues_;
-  TransferQueueSet download_queue_;
 
   /// Live jobs by seq: finish_job() erases each job, so a fork copies the
   /// jobs in flight, not the run's history.
@@ -246,11 +269,6 @@ class CloudBurstController {
   std::size_t scale_ups_ = 0;
   std::size_t scale_downs_ = 0;
 
-  // ---- registered dispatch slots (the forkable event paths) ----
-  int store_input_slot_ = -1;   ///< JobStore continuation: input staged
-  int store_output_slot_ = -1;  ///< JobStore continuation: output staged
-  int probe_up_slot_ = -1;      ///< uplink handler for probe transfers
-  int probe_down_slot_ = -1;    ///< downlink handler for probe transfers
   // ---- controller-owned pending events (restored across forks) ----
   cbs::sim::EventId probe_event_{};
   cbs::sim::EventId elastic_event_{};

@@ -51,9 +51,15 @@ void OrderPreservingScheduler::apply_chunking(
 
 ScheduleDecision OrderPreservingScheduler::place(
     const cbs::workload::Document& doc, Context& ctx) {
+  // *Where*: the EC site with the earliest believed round trip (ties go to
+  // the lowest index; the paper's setting has one site).
+  EcEstimate ec = ctx.belief.ft_ec(doc, ctx.now);
+  for (std::size_t site = 1; site < ctx.belief.ec_site_count(); ++site) {
+    const EcEstimate other = ctx.belief.ft_ec(doc, ctx.now, site);
+    if (other.finish < ec.finish) ec = other;
+  }
   // Lines 11–16: burst exactly when the estimated external finish fits the
   // cushion of the jobs ahead.
-  const EcEstimate ec = ctx.belief.ft_ec(doc, ctx.now);
   const cbs::sim::SimTime cushion = ctx.belief.slack(ctx.now);
   if (cbs::sla::satisfies_slack(ec.finish, cushion,
                                 ctx.params.slack_safety_margin)) {

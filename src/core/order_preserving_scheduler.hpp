@@ -15,7 +15,8 @@ namespace cbs::core {
 ///  2. *Slack-gated bursting* (lines 11–16): a job is sent externally only
 ///     when its estimated round trip finishes within the cushion created
 ///     by the jobs ahead of it (Eq. 1–2) — so bursted jobs are never on
-///     the believed critical path.
+///     the believed critical path. With several EC sites, the round trip
+///     tested is the one of the site with the earliest believed finish.
 class OrderPreservingScheduler : public Scheduler {
  public:
   [[nodiscard]] std::string_view name() const override {

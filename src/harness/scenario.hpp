@@ -83,8 +83,9 @@ struct Scenario {
 
 /// Checks the fields whose bad values the simulator would otherwise abort
 /// on (an `assert` in a constructor) or silently accept (a negative MTBF
-/// switches the fault layer off): one message per problem, empty when the
-/// scenario is runnable. The CLI rejects a scenario with any.
+/// switches the fault layer off), and the effective controller config's
+/// EC sites (core::ec_site_problems): one message per problem, empty when
+/// the scenario is runnable. The CLI rejects a scenario with any.
 [[nodiscard]] std::vector<std::string> validate_scenario(const Scenario& s);
 
 /// Named constructor for the §V experiment grid.

@@ -235,14 +235,18 @@ RunResult ScenarioWorld::result() const {
   result.oo_series =
       oo.ordered_mb_series(scenario.oo_sampling_interval,
                            scenario.oo_tolerance);
+  double ec_busy_time = 0.0;
+  std::size_t ec_machines = 0;
+  for (std::size_t i = 0; i < controller.site_count(); ++i) {
+    ec_busy_time += controller.site(i).cluster.total_busy_time();
+    ec_machines += controller.site(i).cluster.machine_count();
+  }
   result.report = cbs::sla::build_report(
       std::string(cbs::core::to_string(scenario.scheduler)),
       std::string(cbs::workload::to_string(scenario.bucket)), result.outcomes,
       controller.ic_cluster().total_busy_time(),
-      controller.ic_cluster().machine_count(),
-      controller.ec_cluster().total_busy_time(),
-      controller.ec_cluster().machine_count(), result.oo_series,
-      scenario.oo_tolerance);
+      controller.ic_cluster().machine_count(), ec_busy_time, ec_machines,
+      result.oo_series, scenario.oo_tolerance);
 
   result.tickets =
       cbs::sla::evaluate_tickets(result.outcomes, scenario.ticket_policy);

@@ -9,7 +9,6 @@
 #include "net/noise.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
-#include "stats/timeseries.hpp"
 #include "util/flat_map.hpp"
 
 namespace cbs::sim {
@@ -173,13 +172,6 @@ class Link {
   [[nodiscard]] double total_bytes_delivered() const noexcept { return bytes_delivered_; }
   /// Total time during which at least one transfer was active.
   [[nodiscard]] double busy_time() const;
-  /// Capacity samples recorded at allocation events (for Fig. 4a). Bounded:
-  /// once kCapacityHistoryMax samples accumulate the series is decimated
-  /// 2:1 and the minimum recording interval doubles, so arbitrarily long
-  /// runs keep O(1) memory here.
-  [[nodiscard]] const cbs::stats::TimeSeries& capacity_history() const noexcept {
-    return capacity_history_;
-  }
   /// Connection drops injected so far (failure_probability > 0).
   [[nodiscard]] std::uint64_t injected_failures() const noexcept {
     return injected_failures_;
@@ -275,7 +267,6 @@ class Link {
   /// rescheduled completion events.
   void flush();
   void run_pass();
-  void record_capacity(cbs::sim::SimTime now, double capacity);
   void on_timer();
   void ensure_tick();
   void on_tick();
@@ -310,9 +301,6 @@ class Link {
   cbs::sim::EventId timer_event_{};
   bool tick_scheduled_ = false;
   cbs::sim::EventId tick_event_{};
-  static constexpr std::size_t kCapacityHistoryMax = 4096;
-  cbs::stats::TimeSeries capacity_history_;
-  cbs::sim::SimDuration capacity_min_interval_ = 0.0;
   // Busy-time accounting.
   double busy_accum_ = 0.0;
   cbs::sim::SimTime busy_since_ = 0.0;

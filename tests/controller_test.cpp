@@ -27,15 +27,15 @@ struct Rig {
     cfg.scheduler = kind;
     cfg.estimator = EstimatorKind::kOracle;
     cfg.probe_interval = 0.0;  // no probes: event counts stay minimal
-    cfg.uplink.base_rate = 1.0e6;
-    cfg.uplink.per_connection_cap = 1.0e6;
-    cfg.uplink.noise_sigma = 0.0;
-    cfg.uplink.setup_latency = 0.0;
-    cfg.downlink = cfg.uplink;
+    cfg.ec_sites[0].uplink.base_rate = 1.0e6;
+    cfg.ec_sites[0].uplink.per_connection_cap = 1.0e6;
+    cfg.ec_sites[0].uplink.noise_sigma = 0.0;
+    cfg.ec_sites[0].uplink.setup_latency = 0.0;
+    cfg.ec_sites[0].downlink = cfg.ec_sites[0].uplink;
     cfg.bandwidth_estimator.prior_rate = 1.0e6;
     cfg.topology.ic_machines = 2;
-    cfg.topology.ec_machines = 1;
-    cfg.topology.ec_job_overhead_seconds = 0.0;
+    cfg.ec_sites[0].machines = 1;
+    cfg.ec_sites[0].job_overhead_seconds = 0.0;
     cfg.params.variability_threshold_mb = 1e9;  // no chunking unless asked
     cfg.params.slack_safety_margin = 0.0;
     return cfg;
@@ -195,11 +195,11 @@ TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {
   // little at batch time, then learns the real rate from its first uploads
   // — at which point idle-pipe push-outs become attractive (the adaptive
   // behaviour §IV.D describes).
-  cfg.uplink.base_rate = 5.0e6;
-  cfg.uplink.per_connection_cap = 5.0e6;
-  cfg.downlink = cfg.uplink;
+  cfg.ec_sites[0].uplink.base_rate = 5.0e6;
+  cfg.ec_sites[0].uplink.per_connection_cap = 5.0e6;
+  cfg.ec_sites[0].downlink = cfg.ec_sites[0].uplink;
   cfg.bandwidth_estimator.prior_rate = 0.4e6;
-  cfg.topology.ec_machines = 2;
+  cfg.ec_sites[0].machines = 2;
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(11));
   // One huge backlog: Op bursts some; when uploads drain and IC still has
   // waiting jobs, push-outs should fire.
@@ -221,9 +221,9 @@ TEST(ControllerTest, PullBackDisarmsTheRetractionDeadline) {
   // The prior says the pipe is fast, so Greedy bursts freely; the first
   // uploads teach it the pipe is slow, and idle IC machines pull the
   // still-queued uploads back.
-  cfg.uplink.base_rate = 0.2e6;
-  cfg.uplink.per_connection_cap = 0.2e6;
-  cfg.downlink = cfg.uplink;
+  cfg.ec_sites[0].uplink.base_rate = 0.2e6;
+  cfg.ec_sites[0].uplink.per_connection_cap = 0.2e6;
+  cfg.ec_sites[0].downlink = cfg.ec_sites[0].uplink;
   cfg.bandwidth_estimator.prior_rate = 5.0e6;
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(13));
   ctl.on_batch(rig.batch(0, std::vector<double>(12, 20.0)));

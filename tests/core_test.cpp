@@ -787,8 +787,8 @@ TEST(ConfigTest, SchedulerNames) {
 TEST(ConfigTest, HighVariationRaisesSigma) {
   const auto normal = default_controller_config(false);
   const auto high = default_controller_config(true);
-  EXPECT_GT(high.uplink.noise_sigma, normal.uplink.noise_sigma);
-  EXPECT_DOUBLE_EQ(normal.uplink.base_rate, high.uplink.base_rate);
+  EXPECT_GT(high.ec_sites[0].uplink.noise_sigma, normal.ec_sites[0].uplink.noise_sigma);
+  EXPECT_DOUBLE_EQ(normal.ec_sites[0].uplink.base_rate, high.ec_sites[0].uplink.base_rate);
 }
 
 TEST(ConfigTest, FactoryMakesAllSchedulers) {

@@ -1,11 +1,10 @@
 // Tests for the paper's future-work features implemented by this library:
 // elastic clusters + the EC scaling policy, per-class QRSM surfaces,
-// position-aware chunking, and the multi-external-cloud controller.
+// position-aware chunking, and one controller bursting to several EC sites.
 #include <gtest/gtest.h>
 
 #include "compute/cluster.hpp"
 #include "core/controller.hpp"
-#include "core/multi_cloud.hpp"
 #include "core/order_preserving_scheduler.hpp"
 #include "models/per_class_qrsm.hpp"
 #include "simcore/simulation.hpp"
@@ -97,15 +96,15 @@ TEST(ElasticEcTest, ScalesUpUnderBacklogAndDownWhenIdle) {
   cfg.scheduler = core::SchedulerKind::kGreedy;
   cfg.estimator = core::EstimatorKind::kOracle;
   cfg.probe_interval = 0.0;
-  cfg.uplink.base_rate = 5.0e6;
-  cfg.uplink.per_connection_cap = 5.0e6;
-  cfg.uplink.noise_sigma = 0.0;
-  cfg.uplink.setup_latency = 0.0;
-  cfg.downlink = cfg.uplink;
+  cfg.ec_sites[0].uplink.base_rate = 5.0e6;
+  cfg.ec_sites[0].uplink.per_connection_cap = 5.0e6;
+  cfg.ec_sites[0].uplink.noise_sigma = 0.0;
+  cfg.ec_sites[0].uplink.setup_latency = 0.0;
+  cfg.ec_sites[0].downlink = cfg.ec_sites[0].uplink;
   cfg.bandwidth_estimator.prior_rate = 5.0e6;
   cfg.topology.ic_machines = 1;
-  cfg.topology.ec_machines = 1;
-  cfg.topology.ec_job_overhead_seconds = 0.0;
+  cfg.ec_sites[0].machines = 1;
+  cfg.ec_sites[0].job_overhead_seconds = 0.0;
   cfg.elastic_ec.enabled = true;
   cfg.elastic_ec.max_machines = 4;
   cfg.elastic_ec.check_interval = 20.0;
@@ -259,12 +258,14 @@ TEST(PositionAwareChunkingTest, TailJobsGetCoarserChunks) {
   EXPECT_GT(head_chunks, tail_chunks);
 }
 
-// ---- multi-cloud controller --------------------------------------------------
+// ---- several EC sites under one controller ----------------------------------
 
-core::MultiCloudConfig two_site_config() {
-  core::MultiCloudConfig cfg;
-  cfg.ic.ic_machines = 2;
-  cfg.slack_safety_margin = 0.0;
+core::ControllerConfig two_site_config() {
+  core::ControllerConfig cfg;
+  cfg.scheduler = core::SchedulerKind::kOrderPreserving;
+  cfg.estimator = core::EstimatorKind::kOracle;
+  cfg.topology.ic_machines = 2;
+  cfg.params.slack_safety_margin = 0.0;
   cfg.probe_interval = 0.0;
   cfg.bandwidth_estimator.prior_rate = 1.0e6;
 
@@ -284,9 +285,17 @@ core::MultiCloudConfig two_site_config() {
   slow.uplink.per_connection_cap = 0.4e6;
   slow.downlink = slow.uplink;
 
-  cfg.sites = {fast, slow};
-  // The schedulers see the true per-site rates via the priors.
+  cfg.ec_sites = {fast, slow};
   return cfg;
+}
+
+/// Jobs bursted to each site over the run.
+std::vector<std::size_t> bursts_per_site(const core::CloudBurstController& ctl) {
+  std::vector<std::size_t> bursts;
+  for (std::size_t i = 0; i < ctl.site_count(); ++i) {
+    bursts.push_back(ctl.site(i).bursts);
+  }
+  return bursts;
 }
 
 workload::Batch big_batch(int n, double size_mb) {
@@ -306,10 +315,8 @@ workload::Batch big_batch(int n, double size_mb) {
 TEST(MultiCloudTest, CompletesAllJobsWithValidOutcomes) {
   Simulation sim;
   workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(12));
-  models::OracleEstimator estimator(truth);
   auto cfg = two_site_config();
-  // Distinct per-site priors so the believed rates match reality.
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(13));
+  core::CloudBurstController ctl(sim, cfg, truth, RngStream(13));
   ctl.on_batch(big_batch(20, 60.0));
   sim.run();
   EXPECT_EQ(ctl.outstanding_jobs(), 0u);
@@ -320,12 +327,10 @@ TEST(MultiCloudTest, CompletesAllJobsWithValidOutcomes) {
 TEST(MultiCloudTest, PrefersTheFasterProvider) {
   Simulation sim;
   workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(14));
-  models::OracleEstimator estimator(truth);
-  core::MultiCloudController ctl(sim, two_site_config(), truth, estimator,
-                                 RngStream(15));
+  core::CloudBurstController ctl(sim, two_site_config(), truth, RngStream(15));
   ctl.on_batch(big_batch(24, 60.0));
   sim.run();
-  const auto bursts = ctl.bursts_per_site();
+  const auto bursts = bursts_per_site(ctl);
   ASSERT_EQ(bursts.size(), 2u);
   EXPECT_GT(bursts[0] + bursts[1], 0u);
   EXPECT_GE(bursts[0], bursts[1]);  // the 10x faster pipe must win overall
@@ -334,73 +339,30 @@ TEST(MultiCloudTest, PrefersTheFasterProvider) {
 TEST(MultiCloudTest, SpillsToSecondSiteWhenFirstSaturates) {
   Simulation sim;
   workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(16));
-  models::OracleEstimator estimator(truth);
   auto cfg = two_site_config();
   // Make both sites equal: load balancing should use both.
-  cfg.sites[1] = cfg.sites[0];
-  cfg.sites[1].name = "ec-b";
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(17));
+  cfg.ec_sites[1] = cfg.ec_sites[0];
+  cfg.ec_sites[1].name = "ec-b";
+  core::CloudBurstController ctl(sim, cfg, truth, RngStream(17));
   ctl.on_batch(big_batch(30, 60.0));
   sim.run();
-  const auto bursts = ctl.bursts_per_site();
+  const auto bursts = bursts_per_site(ctl);
   if (bursts[0] + bursts[1] >= 4) {
     EXPECT_GT(bursts[0], 0u);
     EXPECT_GT(bursts[1], 0u);
   }
 }
 
-TEST(MultiCloudTest, CheapestFeasibleSelectionPrefersCheapSite) {
-  // Two equally fast sites; one costs half as much. The cost-aware policy
-  // must route bursts to the cheap one whenever the deadline is loose.
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(30));
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();
-  cfg.sites[1] = cfg.sites[0];
-  cfg.sites[0].name = "pricey";
-  cfg.sites[0].price_per_machine_hour = 0.20;
-  cfg.sites[1].name = "cheap";
-  cfg.sites[1].price_per_machine_hour = 0.05;
-  cfg.site_selection = core::SiteSelection::kCheapestFeasible;
-  cfg.ticket_policy = {.base_seconds = 1.0e6, .seconds_per_mb = 0.0};  // loose
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(31));
-  ctl.on_batch(big_batch(24, 60.0));
-  sim.run();
-  const auto bursts = ctl.bursts_per_site();
-  EXPECT_GT(bursts[1], bursts[0]);  // cheap site carries the load
-}
-
-TEST(MultiCloudTest, TightDeadlineFallsBackToFastest) {
-  // Deadline impossible for everyone: the policy must fall back to the
-  // fastest site rather than refusing to pick.
-  Simulation sim;
-  workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(32));
-  models::OracleEstimator estimator(truth);
-  auto cfg = two_site_config();  // site 0 has the 10x faster pipe
-  cfg.sites[0].price_per_machine_hour = 0.20;
-  cfg.sites[1].price_per_machine_hour = 0.05;
-  cfg.site_selection = core::SiteSelection::kCheapestFeasible;
-  cfg.ticket_policy = {.base_seconds = 1.0, .seconds_per_mb = 0.0};  // impossible
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(33));
-  ctl.on_batch(big_batch(24, 60.0));
-  sim.run();
-  const auto bursts = ctl.bursts_per_site();
-  if (bursts[0] + bursts[1] > 0) {
-    EXPECT_GE(bursts[0], bursts[1]);  // fastest (site 0) wins the fallback
-  }
-}
-
 TEST(MultiCloudTest, SurvivesNoisyPathsAndProbes) {
   Simulation sim;
   workload::GroundTruthModel truth({}, RngStream(40));  // noisy runtimes
-  models::OracleEstimator estimator(truth);
   auto cfg = two_site_config();
-  for (auto& site : cfg.sites) {
+  for (auto& site : cfg.ec_sites) {
     site.uplink.noise_sigma = 0.3;
     site.downlink.noise_sigma = 0.3;
   }
   cfg.probe_interval = 60.0;  // probing enabled on every site
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(41));
+  core::CloudBurstController ctl(sim, cfg, truth, RngStream(41));
   ctl.on_batch(big_batch(20, 60.0));
   sim.run();
   EXPECT_EQ(ctl.outstanding_jobs(), 0u);
@@ -411,8 +373,7 @@ TEST(MultiCloudTest, DeterministicReplay) {
   auto run = [] {
     Simulation sim;
     workload::GroundTruthModel truth({}, RngStream(50));
-    models::OracleEstimator estimator(truth);
-    core::MultiCloudController ctl(sim, two_site_config(), truth, estimator,
+    core::CloudBurstController ctl(sim, two_site_config(), truth,
                                    RngStream(51));
     ctl.on_batch(big_batch(16, 70.0));
     sim.run();
@@ -426,10 +387,9 @@ TEST(MultiCloudTest, DeterministicReplay) {
 TEST(MultiCloudTest, SingleSiteDegeneratesToSingleEc) {
   Simulation sim;
   workload::GroundTruthModel truth({.noise_sigma = 0.0}, RngStream(18));
-  models::OracleEstimator estimator(truth);
   auto cfg = two_site_config();
-  cfg.sites.resize(1);
-  core::MultiCloudController ctl(sim, cfg, truth, estimator, RngStream(19));
+  cfg.ec_sites.resize(1);
+  core::CloudBurstController ctl(sim, cfg, truth, RngStream(19));
   ctl.on_batch(big_batch(12, 60.0));
   sim.run();
   EXPECT_EQ(ctl.outstanding_jobs(), 0u);

@@ -70,6 +70,27 @@ Scenario lookahead_fixture() {
   return s;
 }
 
+/// Two EC sites under order-preserving placement: a near site (the
+/// default pipe and 2 VMs) and a far one (a thinner pipe, one faster VM).
+/// The fork clones a vector of sites whose queue sets, link handlers and
+/// store continuations are re-wired by site index.
+Scenario two_site_fixture() {
+  Scenario s = cbs::harness::make_scenario(
+      cbs::core::SchedulerKind::kOrderPreserving,
+      cbs::workload::SizeBucket::kUniform, /*seed=*/42);
+  s.num_batches = 5;
+  cbs::core::ControllerConfig cfg = cbs::core::default_controller_config();
+  cbs::core::EcSiteConfig far = cfg.ec_sites.front();
+  far.name = "far";
+  far.machines = 1;
+  far.speed = 1.6;
+  far.uplink.base_rate = 0.7e6;
+  far.downlink.base_rate = 0.8e6;
+  cfg.ec_sites.push_back(far);
+  s.config_override = cfg;
+  return s;
+}
+
 /// Exact equality over everything a run reports. Doubles compared with ==
 /// on purpose: the fork contract is bit-replay, not approximation.
 void expect_identical(const RunResult& a, const RunResult& b) {
@@ -220,6 +241,30 @@ TEST(ForkEquivalence, LookaheadForkMakesTheSameDecisions) {
   EXPECT_EQ(forked->lookahead_scores(), straight.lookahead_scores());
   EXPECT_EQ(straight.lookahead_scores().size(),
             s.num_batches * static_cast<std::size_t>(s.lookahead_candidates));
+}
+
+TEST(ForkEquivalence, TwoSiteFixtureForkAtZero) {
+  const Scenario s = two_site_fixture();
+  expect_identical(run_scenario(s), run_scenario_via_fork(s, 0.0));
+}
+
+TEST(ForkEquivalence, TwoSiteFixtureForkMidRun) {
+  // By 400 s both sites have taken bursts, so the fork carries two sites'
+  // transfers, staged objects and EC tasks in flight.
+  const Scenario s = two_site_fixture();
+  ScenarioWorld parent(s);
+  parent.run_until(400.0);
+  ASSERT_EQ(parent.controller().site_count(), 2u);
+  EXPECT_GT(parent.controller().site(0).bursts, 0u);
+  EXPECT_GT(parent.controller().site(1).bursts, 0u);
+  std::unique_ptr<ScenarioWorld> forked = parent.fork();
+  parent.run();
+  forked->run();
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(forked->controller().site(i).bursts,
+              parent.controller().site(i).bursts);
+  }
+  expect_identical(run_scenario(s), forked->result());
 }
 
 TEST(ForkEquivalence, EventAtALaterArrivalTimeFiresAfterThatBatch) {

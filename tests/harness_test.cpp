@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "harness/cli.hpp"
 #include "harness/csv.hpp"
@@ -134,7 +137,7 @@ TEST(ScenarioCliTest, HighVarSurvivesElasticOverride) {
       scenario_args({"--elastic", "--high-var"}));
   const auto cfg = s.controller_config();
   EXPECT_TRUE(cfg.elastic_ec.enabled);
-  EXPECT_DOUBLE_EQ(cfg.uplink.noise_sigma, 0.25);
+  EXPECT_DOUBLE_EQ(cfg.ec_sites[0].uplink.noise_sigma, 0.25);
 }
 
 // ---- bad input: an error at the CLI boundary, not an assert abort -------------
@@ -186,6 +189,110 @@ TEST(ScenarioCliTest, ListsEveryProblem) {
 TEST(ScenarioTest, DefaultScenarioValidates) {
   EXPECT_TRUE(validate_scenario(Scenario{}).empty());
   EXPECT_TRUE(rejection({"--ic-mtbf=0", "--ec-mtbf=3600"}).empty());
+}
+
+// ---- bad EC site configs: an error, not an assert abort ------------------------
+
+/// A scenario whose controller config lists `sites`.
+Scenario with_sites(std::vector<core::EcSiteConfig> sites) {
+  core::ControllerConfig cfg = core::default_controller_config();
+  cfg.ec_sites = std::move(sites);
+  Scenario s;
+  s.config_override = cfg;
+  return s;
+}
+
+/// Two default sites.
+Scenario two_sites() { return with_sites({{}, {}}); }
+
+/// validate_scenario's single problem for `s` ("" when it finds none).
+std::string only_problem(const Scenario& s) {
+  const std::vector<std::string> problems = validate_scenario(s);
+  EXPECT_LE(problems.size(), 1u);
+  return problems.empty() ? "" : problems.front();
+}
+
+bool mentions(const std::string& message, const char* what) {
+  return message.find(what) != std::string::npos;
+}
+
+TEST(ScenarioSitesTest, RejectsAnEmptySiteList) {
+  EXPECT_TRUE(mentions(only_problem(with_sites({})), "ec_sites"));
+}
+
+TEST(ScenarioSitesTest, RejectsASiteWithoutMachines) {
+  core::EcSiteConfig site;
+  site.machines = 0;
+  EXPECT_TRUE(
+      mentions(only_problem(with_sites({site})), "ec_sites[0].machines"));
+}
+
+TEST(ScenarioSitesTest, RejectsANonPositiveSpeed) {
+  for (const double speed : {0.0, -1.0, std::nan("")}) {
+    core::EcSiteConfig site;
+    site.speed = speed;
+    EXPECT_TRUE(mentions(only_problem(with_sites({{}, site})),
+                         "ec_sites[1].speed"))
+        << speed;
+  }
+}
+
+TEST(ScenarioSitesTest, RejectsABadOverhead) {
+  for (const double overhead :
+       {-1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    core::EcSiteConfig site;
+    site.job_overhead_seconds = overhead;
+    EXPECT_TRUE(mentions(only_problem(with_sites({site})),
+                         "ec_sites[0].job_overhead_seconds"))
+        << overhead;
+  }
+}
+
+TEST(ScenarioSitesTest, SeveralSitesNeedOrderPreservingOrIcOnly) {
+  for (const auto kind :
+       {core::SchedulerKind::kGreedy, core::SchedulerKind::kBandwidthSplit,
+        core::SchedulerKind::kRandom, core::SchedulerKind::kLookahead}) {
+    Scenario s = two_sites();
+    s.scheduler = kind;
+    EXPECT_TRUE(mentions(only_problem(s), "scheduler")) << to_string(kind);
+  }
+  for (const auto kind : {core::SchedulerKind::kOrderPreserving,
+                          core::SchedulerKind::kIcOnly}) {
+    Scenario s = two_sites();
+    s.scheduler = kind;
+    EXPECT_TRUE(validate_scenario(s).empty()) << to_string(kind);
+  }
+}
+
+TEST(ScenarioSitesTest, SeveralSitesRejectSingleSiteFeatures) {
+  Scenario faults = two_sites();
+  faults.faults.ec_vm_mtbf = 3600.0;
+  EXPECT_TRUE(mentions(only_problem(faults), "fault injection"));
+
+  Scenario retraction = two_sites();
+  retraction.faults.retraction_deadline_factor = 3.0;
+  EXPECT_TRUE(mentions(only_problem(retraction), "fault injection"));
+
+  Scenario elastic = two_sites();
+  elastic.config_override->elastic_ec.enabled = true;
+  EXPECT_TRUE(mentions(only_problem(elastic), "elastic"));
+
+  Scenario rescheduler = two_sites();
+  rescheduler.enable_rescheduler = true;
+  EXPECT_TRUE(mentions(only_problem(rescheduler), "rescheduler"));
+
+  Scenario hazard = two_sites();
+  hazard.resilience.hazard.kind = models::HazardPredictorKind::kEwma;
+  EXPECT_TRUE(mentions(only_problem(hazard), "hazard predictor"));
+}
+
+TEST(ScenarioSitesTest, BadSitesThrowInsteadOfAsserting) {
+  core::EcSiteConfig site;
+  site.machines = 0;
+  EXPECT_THROW((void)run_scenario(with_sites({site})), std::invalid_argument);
+  Scenario greedy = two_sites();
+  greedy.scheduler = core::SchedulerKind::kGreedy;
+  EXPECT_THROW((void)run_scenario(greedy), std::invalid_argument);
 }
 
 // ---- csv / chart helpers -------------------------------------------------------

@@ -5,7 +5,6 @@
 
 #include "simcore/rng.hpp"
 #include "stats/distributions.hpp"
-#include "stats/histogram.hpp"
 #include "stats/aggregate.hpp"
 #include "stats/summary.hpp"
 #include "stats/timeseries.hpp"
@@ -187,47 +186,6 @@ TEST(SummaryTest, StddevOfWindow) {
               std::sqrt(32.0 / 7.0), 1e-12);
 }
 
-// ---- Histogram ------------------------------------------------------
-
-TEST(HistogramTest, BucketsValuesCorrectly) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(2.5);
-  h.add(2.6);
-  h.add(9.99);
-  EXPECT_EQ(h.count_at(0), 1u);
-  EXPECT_EQ(h.count_at(1), 2u);
-  EXPECT_EQ(h.count_at(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, UnderAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(10.0);  // hi is exclusive
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(HistogramTest, BucketBounds) {
-  Histogram h(10.0, 20.0, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 12.5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 17.5);
-}
-
-TEST(HistogramTest, RenderContainsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("1"), std::string::npos);
-  EXPECT_NE(out.find("2"), std::string::npos);
-}
-
 // ---- TimeSeries -----------------------------------------------------
 
 TEST(TimeSeriesTest, ValueAtIsStepFunction) {
@@ -240,33 +198,6 @@ TEST(TimeSeriesTest, ValueAtIsStepFunction) {
   EXPECT_DOUBLE_EQ(ts.value_at(15.0), 1.0);
   EXPECT_DOUBLE_EQ(ts.value_at(20.0), 2.0);
   EXPECT_DOUBLE_EQ(ts.value_at(1e9), 2.0);
-}
-
-TEST(TimeSeriesTest, DecimateHalfKeepsEndpointsAndOrder) {
-  TimeSeries ts;
-  for (int i = 0; i < 9; ++i) {
-    ts.add(static_cast<double>(i), static_cast<double>(i) * 10.0);
-  }
-  ts.decimate_half();
-  // Even indices survive: 0, 2, 4, 6, 8 — first and last always kept.
-  ASSERT_EQ(ts.size(), 5U);
-  EXPECT_DOUBLE_EQ(ts.at(0).time, 0.0);
-  EXPECT_DOUBLE_EQ(ts.at(2).time, 4.0);
-  EXPECT_DOUBLE_EQ(ts.back().time, 8.0);
-  EXPECT_DOUBLE_EQ(ts.back().value, 80.0);
-
-  TimeSeries even;
-  for (int i = 0; i < 8; ++i) even.add(static_cast<double>(i), 1.0);
-  even.decimate_half();
-  // Even count: indices 0,2,4,6 plus the appended final point 7.
-  ASSERT_EQ(even.size(), 5U);
-  EXPECT_DOUBLE_EQ(even.back().time, 7.0);
-
-  TimeSeries tiny;
-  tiny.add(1.0, 1.0);
-  tiny.add(2.0, 2.0);
-  tiny.decimate_half();  // below the minimum size: untouched
-  EXPECT_EQ(tiny.size(), 2U);
 }
 
 TEST(TimeSeriesTest, ResampleGrid) {
