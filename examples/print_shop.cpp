@@ -112,7 +112,7 @@ int main() {
 
   // What the autonomic layer learned about the pipe.
   std::printf("\nlearned uplink rate by hour (KB/s):\n  ");
-  const auto& est = controller.uplink_estimator();
+  const auto& est = controller.site(0).uplink_estimator;
   for (std::size_t h = 8; h <= 18; ++h) {
     std::printf("%zuh:%.0f  ", h,
                 est.slot_estimate(h * est.slots_per_day() / 24) / 1e3);

@@ -23,13 +23,13 @@ namespace cbs::compute {
 /// its time integral, so benches can report the staging footprint.
 ///
 /// The synchronous put/size_of/erase API models the fault-free control
-/// plane. The asynchronous put_async/get_async paths add S3-style
-/// best-effort semantics: while the store is unavailable (an EC outage) or
-/// over capacity, an attempt fails and is retried after exponential
-/// backoff, giving up after `Config::max_attempts`. With the store
-/// available and capacity unconstrained (the defaults), the async paths
-/// complete synchronously and schedule no events — the fault layer is free
-/// when disabled.
+/// plane. The asynchronous put_async path adds S3-style best-effort
+/// semantics: while the store is unavailable (an EC outage) or over
+/// capacity, an attempt fails and is retried after exponential backoff,
+/// giving up after `Config::max_attempts`. With the store available and
+/// capacity unconstrained (the defaults), put_async completes
+/// synchronously and schedules no events — the fault layer is free when
+/// disabled.
 class JobStore {
  public:
   struct Config {
@@ -44,12 +44,9 @@ class JobStore {
     double capacity_bytes = std::numeric_limits<double>::infinity();
   };
 
-  using PutHandler = std::function<void(bool ok)>;
-  using GetHandler = std::function<void(bool ok, double bytes)>;
-  /// A registered continuation: receives the caller's tag and the result
-  /// (`bytes` is the object size for gets, the stored size for puts).
-  using Continuation =
-      std::function<void(std::uint64_t tag, bool ok, double bytes)>;
+  /// A registered continuation: receives the caller's tag and whether the
+  /// put landed (false once it was abandoned).
+  using Continuation = std::function<void(std::uint64_t tag, bool ok)>;
 
   explicit JobStore(cbs::sim::Simulation& sim) : JobStore(sim, Config{}) {}
   JobStore(cbs::sim::Simulation& sim, Config config);
@@ -59,12 +56,10 @@ class JobStore {
   /// Fork support: copies `src`'s value state (objects, occupancy
   /// accounting, pending retry records) into a store bound to `dst`.
   /// Continuations are NOT copied — the owner must register them on the
-  /// clone in source order, then call rebuild_events(). Precondition: no
-  /// closure-based async op is awaiting a retry.
+  /// clone in source order, then call rebuild_events().
   JobStore(cbs::sim::Simulation& dst, const JobStore& src);
 
-  /// Registers a continuation and returns its slot for the tag-based
-  /// async forms.
+  /// Registers a continuation and returns its slot for put_async().
   int register_continuation(Continuation continuation);
 
   /// Re-schedules pending retry events after a fork.
@@ -84,25 +79,16 @@ class JobStore {
   // ---- Best-effort paths (retry/backoff against outages) -------------
 
   /// Availability switch, driven by the EC outage windows of the fault
-  /// plan. While false, every async attempt fails.
+  /// plan. While false, every put_async attempt fails.
   void set_available(bool available) noexcept { available_ = available; }
   [[nodiscard]] bool available() const noexcept { return available_; }
 
-  /// Stores `bytes` under `key` with retry/backoff; `done(ok)` fires once,
-  /// synchronously when the first attempt succeeds.
-  void put_async(const std::string& key, double bytes, PutHandler done);
-
-  /// Fetches the object size with the same retry semantics. A missing key
-  /// on an *available* store fails immediately (no retry — absence is a
-  /// definite answer, not an outage).
-  void get_async(const std::string& key, GetHandler done);
-
-  /// Tag-based forms — the forkable path: the result is dispatched to the
-  /// registered continuation `slot` with `tag`, and a pending retry is
-  /// value state (re-schedulable across a fork) instead of a closure.
+  /// Stores `bytes` under `key` with retry/backoff. The registered
+  /// continuation `slot` fires once with `tag`, synchronously when the
+  /// first attempt succeeds. A pending retry is value state, so it can be
+  /// re-scheduled across a fork.
   void put_async(const std::string& key, double bytes, int slot,
                  std::uint64_t tag);
-  void get_async(const std::string& key, int slot, std::uint64_t tag);
 
   /// Async attempts that failed (unavailable or over capacity).
   [[nodiscard]] std::uint64_t failed_attempts() const noexcept {
@@ -122,12 +108,11 @@ class JobStore {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
  private:
-  /// One tag-based async op awaiting its next retry — pure value state
-  /// plus the pending event id, so forks can re-schedule it.
+  /// One put awaiting its next retry — pure value state plus the pending
+  /// event id, so forks can re-schedule it.
   struct PendingOp {
-    bool is_put = false;
     std::string key;
-    double bytes = 0.0;  ///< puts only
+    double bytes = 0.0;
     int slot = -1;
     std::uint64_t tag = 0;
     int attempt = 0;
@@ -137,9 +122,6 @@ class JobStore {
   cbs::sim::Simulation& sim_;
   void integrate();
   [[nodiscard]] cbs::sim::SimDuration backoff_delay(int attempt) const;
-  void attempt_put(const std::string& key, double bytes, PutHandler done,
-                   int attempt);
-  void attempt_get(const std::string& key, GetHandler done, int attempt);
   void step_op(PendingOp op);
   void retry_op(std::uint64_t op_id);
 
@@ -157,7 +139,6 @@ class JobStore {
   std::vector<Continuation> continuations_;
   cbs::util::FlatMap<std::uint64_t, PendingOp> pending_ops_;
   std::uint64_t next_op_id_ = 1;
-  std::uint64_t closure_retries_pending_ = 0;  ///< blocks forking when > 0
 };
 
 }  // namespace cbs::compute

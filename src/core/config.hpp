@@ -189,13 +189,10 @@ struct ControllerConfig {
   /// costs memory proportional to jobs x stages, so off by default.
   bool record_stage_log = false;
 
-  /// Per-run logging. Every controller owns its Logger, so concurrent
-  /// runs (the parallel experiment runner) never share mutable logging
-  /// state; the process-wide Logger::global_threshold() only acts as a
-  /// floor. `log_sink` (when set) redirects this run's messages — e.g.
-  /// into a per-cell buffer — instead of the shared stderr stream.
+  /// Per-run logging threshold. Every controller owns its Logger, so
+  /// concurrent runs (the parallel experiment runner) never share mutable
+  /// logging state.
   cbs::sim::LogLevel log_threshold = cbs::sim::LogLevel::kWarn;
-  cbs::sim::Logger::Sink log_sink{};
 };
 
 /// Checks the EC site list: at least one site, each with machines, a

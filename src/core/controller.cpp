@@ -81,7 +81,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& sim,
               config_.topology.ic_speed,
               config_.topology.max_map_tasks_per_job),
       scheduler_(make_scheduler(config_.scheduler)) {
-  if (config_.log_sink) log_.set_sink(config_.log_sink);
   wire_hooks();
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     const EcSiteConfig& site = config_.ec_sites[i];
@@ -158,7 +157,6 @@ CloudBurstController::CloudBurstController(cbs::sim::Simulation& dst,
   assert(proc_estimator_ != nullptr &&
          "estimator kind does not support forking");
   assert(scheduler_ != nullptr && "scheduler does not support forking");
-  if (config_.log_sink) log_.set_sink(config_.log_sink);
   wire_hooks();
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     EcSite& site = *sites_[i];
@@ -242,11 +240,11 @@ void CloudBurstController::wire_site(std::size_t index) {
         s.down_tuner.report(sim_.now(), rec.threads, rec.transfer_rate());
       });
   site.store_input_slot = site.store.register_continuation(
-      [this, index](std::uint64_t seq, bool ok, double) {
+      [this, index](std::uint64_t seq, bool ok) {
         on_input_staged(index, seq, ok);
       });
   site.store_output_slot = site.store.register_continuation(
-      [this, index](std::uint64_t seq, bool ok, double) {
+      [this, index](std::uint64_t seq, bool ok) {
         on_output_staged(index, seq, ok);
       });
 }

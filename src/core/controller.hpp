@@ -119,15 +119,6 @@ class CloudBurstController {
   [[nodiscard]] const compute::JobStore& store() const noexcept {
     return sites_.front()->store;
   }
-  [[nodiscard]] const net::BandwidthEstimator& uplink_estimator() const noexcept {
-    return sites_.front()->uplink_estimator;
-  }
-  [[nodiscard]] const net::BandwidthEstimator& downlink_estimator() const noexcept {
-    return sites_.front()->downlink_estimator;
-  }
-  [[nodiscard]] const net::ThreadTuner& upload_tuner() const noexcept {
-    return sites_.front()->up_tuner;
-  }
   [[nodiscard]] const models::ProcessingTimeEstimator& service_estimator() const {
     return *proc_estimator_;
   }

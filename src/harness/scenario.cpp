@@ -24,7 +24,6 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
   if (faults.enabled()) cfg.faults = faults;
   if (resilience.enabled()) cfg.resilience = resilience;
   cfg.log_threshold = log_threshold;
-  cfg.log_sink = log_sink;
   return cfg;
 }
 

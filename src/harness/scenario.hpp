@@ -67,11 +67,9 @@ struct Scenario {
   cbs::sla::CostRates cost_rates{};
 
   /// Per-run logging: each run's controller owns its Logger configured
-  /// from these fields, so concurrent run_scenario calls never share
-  /// mutable logging state. The default sink (stderr) is only reached for
-  /// warnings and above; set a sink to capture a run's log privately.
+  /// from this threshold, so concurrent run_scenario calls never share
+  /// mutable logging state. Messages go to stderr.
   cbs::sim::LogLevel log_threshold = cbs::sim::LogLevel::kWarn;
-  cbs::sim::Logger::Sink log_sink{};
 
   /// Full controller override; when set, scheduler/estimator/rescheduler
   /// and network fields above are still applied on top of it.

@@ -1,10 +1,10 @@
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
 
+#include "simcore/callback.hpp"
 #include "simcore/time.hpp"
 
 namespace cbs::sim {
@@ -20,18 +20,12 @@ enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
 /// one branch — message formatting is skipped entirely.
 ///
 /// Thread-safety: a Logger instance is not internally synchronized — give
-/// each simulation run its own Logger (ControllerConfig::log_threshold /
-/// log_sink route this per run). The process-wide global threshold is an
-/// atomic floor consulted only at construction, so building loggers on
-/// many threads is safe; it exists for coarse muting (CLI --quiet), not
-/// for per-run control.
+/// each simulation run its own Logger (ControllerConfig::log_threshold
+/// sets it per run). Loggers share no state, so building them on many
+/// threads is safe.
 class Logger {
  public:
-  /// Copyable on purpose: sinks ride inside ControllerConfig/Scenario,
-  /// which the parallel runner copies per plan cell — so the move-only
-  /// UniqueFunction cannot carry them.
-  // cbs-lint: std-function-ok(sink must stay copyable: it is carried by ControllerConfig/Scenario copies in the parallel runner)
-  using Sink = std::function<void(LogLevel, SimTime, std::string_view)>;
+  using Sink = UniqueFunction<void(LogLevel, SimTime, std::string_view)>;
 
   explicit Logger(std::string component, LogLevel threshold = LogLevel::kWarn);
 
@@ -64,10 +58,6 @@ class Logger {
   void warn(SimTime t, Args&&... args) {
     log(LogLevel::kWarn, t, std::forward<Args>(args)...);
   }
-
-  /// Process-wide default threshold applied to newly created loggers.
-  static void set_global_threshold(LogLevel level) noexcept;
-  [[nodiscard]] static LogLevel global_threshold() noexcept;
 
  private:
   void emit(LogLevel level, SimTime t, std::string_view msg);

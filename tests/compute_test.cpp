@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -19,11 +20,10 @@ TEST(ClusterTest, SingleMachineRunsFcfs) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   std::vector<std::pair<TaskId, double>> done;
-  for (int i = 0; i < 3; ++i) {
-    cluster.submit(10.0, 0, [&](const TaskRecord& rec) {
-      done.emplace_back(rec.task_id, rec.completed);
-    });
-  }
+  cluster.set_task_complete_hook([&](const TaskRecord& rec) {
+    done.emplace_back(rec.task_id, rec.completed);
+  });
+  for (int i = 0; i < 3; ++i) cluster.submit(10.0, 0, 0);
   sim.run();
   ASSERT_EQ(done.size(), 3u);
   EXPECT_DOUBLE_EQ(done[0].second, 10.0);
@@ -36,9 +36,8 @@ TEST(ClusterTest, ParallelMachines) {
   Simulation sim;
   Cluster cluster(sim, "c", 4);
   int done = 0;
-  for (int i = 0; i < 4; ++i) {
-    cluster.submit(10.0, 0, [&](const TaskRecord&) { ++done; });
-  }
+  cluster.set_task_complete_hook([&](const TaskRecord&) { ++done; });
+  for (int i = 0; i < 4; ++i) cluster.submit(10.0, 0, 0);
   sim.run();
   EXPECT_EQ(done, 4);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);  // all four ran concurrently
@@ -48,7 +47,9 @@ TEST(ClusterTest, SpeedScalesServiceTime) {
   Simulation sim;
   Cluster cluster(sim, "c", 1, 2.0);
   double completed = -1.0;
-  cluster.submit(10.0, 0, [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.submit(10.0, 0, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(completed, 5.0);
 }
@@ -57,9 +58,10 @@ TEST(ClusterTest, RecordsContainTimestamps) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   std::vector<TaskRecord> recs;
-  const auto collect = [&recs](const TaskRecord& rec) { recs.push_back(rec); };
-  cluster.submit(5.0, 7, collect);
-  cluster.submit(5.0, 8, collect);
+  cluster.set_task_complete_hook(
+      [&recs](const TaskRecord& rec) { recs.push_back(rec); });
+  cluster.submit(5.0, 7, 0);
+  cluster.submit(5.0, 8, 0);
   sim.run();
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_DOUBLE_EQ(recs[1].enqueued, 0.0);
@@ -72,8 +74,8 @@ TEST(ClusterTest, RecordsContainTimestamps) {
 TEST(ClusterTest, BusyTimeAndUtilization) {
   Simulation sim;
   Cluster cluster(sim, "c", 2);
-  cluster.submit(10.0, 0, nullptr);
-  cluster.submit(6.0, 0, nullptr);
+  cluster.submit(10.0, 0, 0);
+  cluster.submit(6.0, 0, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(cluster.machine_busy_time(0), 10.0);
   EXPECT_DOUBLE_EQ(cluster.machine_busy_time(1), 6.0);
@@ -84,9 +86,9 @@ TEST(ClusterTest, BusyTimeAndUtilization) {
 TEST(ClusterTest, QueuedStandardSecondsTracksBacklog) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
-  cluster.submit(5.0, 0, nullptr);  // starts immediately
-  cluster.submit(7.0, 0, nullptr);  // queued
-  cluster.submit(3.0, 0, nullptr);  // queued
+  cluster.submit(5.0, 0, 0);  // starts immediately
+  cluster.submit(7.0, 0, 0);  // queued
+  cluster.submit(3.0, 0, 0);  // queued
   EXPECT_DOUBLE_EQ(cluster.queued_standard_seconds(), 10.0);
   EXPECT_EQ(cluster.queued_tasks(), 2u);
   EXPECT_EQ(cluster.running_tasks(), 1u);
@@ -100,8 +102,8 @@ TEST(ClusterTest, IdleHookFiresWhenDrained) {
   Cluster cluster(sim, "c", 2);
   int idle_calls = 0;
   cluster.set_idle_hook([&](std::size_t) { ++idle_calls; });
-  cluster.submit(5.0, 0, nullptr);
-  cluster.submit(5.0, 0, nullptr);
+  cluster.submit(5.0, 0, 0);
+  cluster.submit(5.0, 0, 0);
   sim.run();
   EXPECT_EQ(idle_calls, 2);  // each machine frees into an empty queue
 }
@@ -111,7 +113,7 @@ TEST(ClusterTest, TaskDoneHookFiresPerTask) {
   Cluster cluster(sim, "c", 1);
   int hook_calls = 0;
   cluster.set_task_done_hook([&] { ++hook_calls; });
-  for (int i = 0; i < 5; ++i) cluster.submit(1.0, 0, nullptr);
+  for (int i = 0; i < 5; ++i) cluster.submit(1.0, 0, 0);
   sim.run();
   EXPECT_EQ(hook_calls, 5);
 }
@@ -120,11 +122,15 @@ TEST(ClusterTest, CallbackCanSubmitMoreWork) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   double second_done = -1.0;
-  cluster.submit(2.0, 0, [&](const TaskRecord&) {
-    cluster.submit(3.0, 0, [&](const TaskRecord& rec) {
+  // The first task (group 1) submits the second (group 2) from its hook.
+  cluster.set_task_complete_hook([&](const TaskRecord& rec) {
+    if (rec.group_id == 1) {
+      cluster.submit(3.0, 2, 0);
+    } else {
       second_done = rec.completed;
-    });
+    }
   });
+  cluster.submit(2.0, 1, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(second_done, 5.0);
 }
@@ -133,7 +139,9 @@ TEST(ClusterTest, ZeroServiceTaskCompletesInstantly) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   double completed = -1.0;
-  cluster.submit(0.0, 0, [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { completed = rec.completed; });
+  cluster.submit(0.0, 0, 0);
   sim.run();
   EXPECT_DOUBLE_EQ(completed, 0.0);
 }
@@ -145,9 +153,9 @@ TEST(MapReduceTest, SingleTaskJob) {
   Cluster cluster(sim, "c", 2);
   MapReduceRuntime mr(sim, cluster);
   MapReduceRecord record;
+  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
   mr.run({.job_id = 1, .total_map_seconds = 10.0, .num_map_tasks = 1,
-          .merge_seconds = 2.0},
-         [&](const MapReduceRecord& rec) { record = rec; });
+          .merge_seconds = 2.0});
   sim.run();
   EXPECT_DOUBLE_EQ(record.maps_done, 10.0);
   EXPECT_DOUBLE_EQ(record.completed, 12.0);
@@ -158,9 +166,9 @@ TEST(MapReduceTest, MapsRunInParallel) {
   Cluster cluster(sim, "c", 4);
   MapReduceRuntime mr(sim, cluster);
   MapReduceRecord record;
+  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
   mr.run({.job_id = 1, .total_map_seconds = 40.0, .num_map_tasks = 4,
-          .merge_seconds = 0.0},
-         [&](const MapReduceRecord& rec) { record = rec; });
+          .merge_seconds = 0.0});
   sim.run();
   // 4 tasks of 10s over 4 machines -> 10s wall.
   EXPECT_DOUBLE_EQ(record.completed, 10.0);
@@ -171,9 +179,9 @@ TEST(MapReduceTest, MergeWaitsForAllMaps) {
   Cluster cluster(sim, "c", 1);
   MapReduceRuntime mr(sim, cluster);
   MapReduceRecord record;
+  mr.set_on_complete([&](const MapReduceRecord& rec) { record = rec; });
   mr.run({.job_id = 1, .total_map_seconds = 9.0, .num_map_tasks = 3,
-          .merge_seconds = 1.0},
-         [&](const MapReduceRecord& rec) { record = rec; });
+          .merge_seconds = 1.0});
   sim.run();
   EXPECT_DOUBLE_EQ(record.maps_done, 9.0);  // serial on one machine
   EXPECT_DOUBLE_EQ(record.completed, 10.0);
@@ -185,13 +193,13 @@ TEST(MapReduceTest, ConcurrentJobsInterleave) {
   MapReduceRuntime mr(sim, cluster);
   std::vector<std::uint64_t> order;
   std::vector<MapReduceRecord> records;
+  mr.set_on_complete([&order, &records](const MapReduceRecord& rec) {
+    order.push_back(rec.job_id);
+    records.push_back(rec);
+  });
   for (std::uint64_t id = 1; id <= 3; ++id) {
     mr.run({.job_id = id, .total_map_seconds = 4.0, .num_map_tasks = 2,
-            .merge_seconds = 0.0},
-           [&order, &records](const MapReduceRecord& rec) {
-             order.push_back(rec.job_id);
-             records.push_back(rec);
-           });
+            .merge_seconds = 0.0});
   }
   sim.run();
   ASSERT_EQ(order.size(), 3u);
@@ -251,10 +259,11 @@ TEST(ClusterCrashTest, CrashRequeuesAndReexecutesRunningTask) {
   Cluster cluster(sim, "c", 1);
   std::vector<double> done;
   std::vector<TaskRecord> recs;
-  cluster.submit(10.0, 0, [&](const TaskRecord& rec) {
+  cluster.set_task_complete_hook([&](const TaskRecord& rec) {
     done.push_back(rec.completed);
     recs.push_back(rec);
   });
+  cluster.submit(10.0, 0, 0);
   sim.schedule_at(4.0, [&] { cluster.crash_machine(0); });
   sim.schedule_at(6.0, [&] { cluster.recover_machine(0); });
   sim.run();
@@ -271,10 +280,10 @@ TEST(ClusterCrashTest, ReclaimedTaskKeepsFcfsPosition) {
   Simulation sim;
   Cluster cluster(sim, "c", 1);
   std::vector<TaskId> order;
-  const TaskId first = cluster.submit(
-      10.0, 0, [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
-  const TaskId second = cluster.submit(
-      10.0, 0, [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { order.push_back(rec.task_id); });
+  const TaskId first = cluster.submit(10.0, 0, 0);
+  const TaskId second = cluster.submit(10.0, 0, 0);
   sim.schedule_at(5.0, [&] { cluster.crash_machine(0); });
   sim.schedule_at(7.0, [&] { cluster.recover_machine(0); });
   sim.run();
@@ -290,13 +299,11 @@ TEST(ClusterCrashTest, DownMachineIsNotDispatchedUntilRecovery) {
   Cluster cluster(sim, "c", 2);
   sim.schedule_at(0.0, [&] { cluster.crash_machine(0); });
   std::vector<std::size_t> machines;
+  cluster.set_task_complete_hook(
+      [&](const TaskRecord& rec) { machines.push_back(rec.machine); });
   sim.schedule_at(1.0, [&] {
-    cluster.submit(5.0, 0, [&](const TaskRecord& rec) {
-      machines.push_back(rec.machine);
-    });
-    cluster.submit(5.0, 0, [&](const TaskRecord& rec) {
-      machines.push_back(rec.machine);
-    });
+    cluster.submit(5.0, 0, 0);
+    cluster.submit(5.0, 0, 0);
   });
   sim.schedule_at(2.0, [&] { cluster.recover_machine(0); });
   sim.run();
@@ -326,7 +333,9 @@ TEST(JobStoreRetryTest, HealthyPutCompletesSynchronously) {
   Simulation sim;
   JobStore store(sim);
   bool ok = false;
-  store.put_async("a", 100.0, [&](bool result) { ok = result; });
+  const int slot = store.register_continuation(
+      [&](std::uint64_t, bool result) { ok = result; });
+  store.put_async("a", 100.0, slot, 0);
   // No event needed: the handler already ran.
   EXPECT_TRUE(ok);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 100.0);
@@ -341,9 +350,11 @@ TEST(JobStoreRetryTest, PutRetriesThroughOutage) {
   JobStore store(sim, cfg);
   store.set_available(false);
   double ok_at = -1.0;
-  store.put_async("a", 50.0, [&](bool result) {
-    if (result) ok_at = sim.now();
-  });
+  const int slot = store.register_continuation(
+      [&](std::uint64_t, bool result) {
+        if (result) ok_at = sim.now();
+      });
+  store.put_async("a", 50.0, slot, 0);
   // Attempts at 0, 2, 6 (backoff 2 then 4); the store comes back at 5, so
   // the third attempt lands the object.
   sim.schedule_at(5.0, [&] { store.set_available(true); });
@@ -362,10 +373,12 @@ TEST(JobStoreRetryTest, ZeroCapacityPutIsAbandoned) {
   JobStore store(sim, cfg);
   bool called = false;
   bool ok = true;
-  store.put_async("a", 1.0, [&](bool result) {
-    called = true;
-    ok = result;
-  });
+  const int slot = store.register_continuation(
+      [&](std::uint64_t, bool result) {
+        called = true;
+        ok = result;
+      });
+  store.put_async("a", 1.0, slot, 0);
   sim.run();
   EXPECT_TRUE(called);
   EXPECT_FALSE(ok);
@@ -381,8 +394,10 @@ TEST(JobStoreRetryTest, OverwriteWithinCapacitySucceeds) {
   JobStore store(sim, cfg);
   store.put("a", 80.0);
   bool ok = false;
+  const int slot = store.register_continuation(
+      [&](std::uint64_t, bool result) { ok = result; });
   // 80 -> 90 needs only 10 fresh bytes; the overwrite frees the old object.
-  store.put_async("a", 90.0, [&](bool result) { ok = result; });
+  store.put_async("a", 90.0, slot, 0);
   EXPECT_TRUE(ok);
   EXPECT_DOUBLE_EQ(store.occupancy_bytes(), 90.0);
 }
@@ -397,43 +412,15 @@ TEST(JobStoreRetryTest, BackoffIsCapped) {
   JobStore store(sim, cfg);
   store.set_available(false);
   double failed_at = -1.0;
-  store.put_async("a", 1.0, [&](bool result) {
-    if (!result) failed_at = sim.now();
-  });
+  const int slot = store.register_continuation(
+      [&](std::uint64_t, bool result) {
+        if (!result) failed_at = sim.now();
+      });
+  store.put_async("a", 1.0, slot, 0);
   sim.run();
   // Attempts at 0, 2, 7 (20 capped to 5), 12: gives up on the fourth.
   EXPECT_DOUBLE_EQ(failed_at, 12.0);
   EXPECT_EQ(store.abandoned_ops(), 1u);
-}
-
-TEST(JobStoreRetryTest, GetMissingKeyFailsFastWhenAvailable) {
-  Simulation sim;
-  JobStore store(sim);
-  bool called = false;
-  bool ok = true;
-  store.get_async("missing", [&](bool result, double) {
-    called = true;
-    ok = result;
-  });
-  // Absence on a healthy store is a definite answer: no retries scheduled.
-  EXPECT_TRUE(called);
-  EXPECT_FALSE(ok);
-  EXPECT_EQ(store.failed_attempts(), 0u);
-}
-
-TEST(JobStoreRetryTest, GetRetriesThroughOutage) {
-  Simulation sim;
-  JobStore store(sim);
-  store.put("a", 30.0);
-  store.set_available(false);
-  double bytes_seen = 0.0;
-  store.get_async("a", [&](bool result, double bytes) {
-    if (result) bytes_seen = bytes;
-  });
-  sim.schedule_at(3.0, [&] { store.set_available(true); });
-  sim.run();
-  EXPECT_DOUBLE_EQ(bytes_seen, 30.0);
-  EXPECT_GT(store.failed_attempts(), 0u);
 }
 
 TEST(JobStoreTest, OccupancyTracksTransitions) {

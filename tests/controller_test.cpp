@@ -182,8 +182,8 @@ TEST(ControllerTest, ProbesFeedTheEstimator) {
   CloudBurstController ctl(rig.sim, cfg, rig.truth, RngStream(10));
   ctl.on_batch(rig.batch(0, {200.0, 200.0}));  // long enough for 2+ probes
   rig.sim.run();
-  EXPECT_GT(ctl.uplink_estimator().observation_count(), 2u);
-  EXPECT_GT(ctl.downlink_estimator().observation_count(), 2u);
+  EXPECT_GT(ctl.site(0).uplink_estimator.observation_count(), 2u);
+  EXPECT_GT(ctl.site(0).downlink_estimator.observation_count(), 2u);
 }
 
 TEST(ControllerTest, ReschedulerPushesOutWhenUploadIdles) {

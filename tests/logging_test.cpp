@@ -19,9 +19,6 @@ struct Captured {
 Logger capturing_logger(std::vector<Captured>& sink,
                         LogLevel threshold = LogLevel::kDebug) {
   Logger logger("test", threshold);
-  // The constructor floors the threshold at the process-wide default;
-  // set_threshold afterwards expresses an explicit per-test choice.
-  logger.set_threshold(threshold);
   logger.set_sink([&sink](LogLevel level, double t, std::string_view msg) {
     sink.push_back({level, t, std::string(msg)});
   });
@@ -62,19 +59,6 @@ TEST(LoggerTest, OffSilencesEverything) {
   Logger logger = capturing_logger(sink, LogLevel::kOff);
   logger.log(LogLevel::kError, 1.0, "nope");
   EXPECT_TRUE(sink.empty());
-}
-
-TEST(LoggerTest, GlobalThresholdFloorsNewLoggers) {
-  const LogLevel before = Logger::global_threshold();
-  Logger::set_global_threshold(LogLevel::kError);
-  std::vector<Captured> sink;
-  Logger logger("late", LogLevel::kDebug);
-  logger.set_sink([&sink](LogLevel level, double t, std::string_view msg) {
-    sink.push_back({level, t, std::string(msg)});
-  });
-  logger.info(1.0, "dropped by global floor");
-  EXPECT_TRUE(sink.empty());
-  Logger::set_global_threshold(before);
 }
 
 TEST(LoggerTest, LevelNames) {

@@ -40,16 +40,18 @@ TEST_P(LinkStormTest, ConservesBytesUnderRandomTraffic) {
   double submitted = 0.0;
   std::size_t count = 0;
   std::vector<net::TransferRecord> recs;
+  const int slot = link.register_handler(
+      [&recs](std::uint64_t, const net::TransferRecord& rec) {
+        recs.push_back(rec);
+      });
   for (int i = 0; i < 60; ++i) {
     const double bytes = rng.uniform(0.05e6, 40.0e6);
     const double when = rng.uniform(0.0, 2000.0);
     const int threads = static_cast<int>(rng.uniform_int(1, 8));
     submitted += bytes;
     ++count;
-    sim.schedule_at(when, [&link, &recs, bytes, threads] {
-      link.submit(bytes, threads, [&recs](const net::TransferRecord& rec) {
-        recs.push_back(rec);
-      });
+    sim.schedule_at(when, [&link, slot, bytes, threads] {
+      link.submit(bytes, threads, slot, 0);
     });
   }
   sim.run();
