@@ -169,6 +169,30 @@ TEST(GoldenOutput, LookaheadFaultsDecisionsAreByteIdentical) {
                         "lookahead_faults_b40.txt");
 }
 
+/// The cloudburst_sim defaults (order-preserving, large bucket, lambda 15)
+/// at 4000 batches. The IC saturates and the believed upload backlog grows
+/// all run, so the slack checks' transfer estimates walk more than a day
+/// of bandwidth slots: this pins the long-walk path of
+/// BandwidthEstimator::estimate_transfer_seconds.
+std::string render_saturated() {
+  const std::vector<const char*> argv = {"golden", "--batches", "4000",
+                                         "--seed", "1"};
+  const harness::cli::Args args(static_cast<int>(argv.size()), argv.data(),
+                                harness::cli::scenario_flags());
+  const harness::RunResult r =
+      harness::run_scenario(harness::cli::scenario_from_args(args));
+  std::ostringstream out;
+  out << "# cloudburst_sim defaults, --batches 4000 --seed 1\n";
+  out << "outcomes " << r.outcomes.size() << " digest " << std::hex
+      << outcome_digest(r.outcomes) << std::dec << "\n";
+  harness::csv::write_reports(out, {r});
+  return out.str();
+}
+
+TEST(GoldenOutput, SaturatedDefaultsAreByteIdentical) {
+  expect_matches_golden(render_saturated(), "saturated_b4000_seed1.txt");
+}
+
 /// The same runs executed twice in-process must agree exactly — catches
 /// accidental global mutable state in the hot paths.
 TEST(GoldenOutput, RepeatRunsAreBitExact) {
