@@ -19,11 +19,14 @@ namespace cbs::net {
 class BandwidthEstimator {
  public:
   struct Config {
-    std::size_t slots_per_day = 48;  ///< 30-minute slots
+    /// 30-minute slots. Must divide 86400, and slot_of must map each slot's
+    /// start to that slot (true for 1, 24 and 48; not for 45 or 50).
+    std::size_t slots_per_day = 48;
     double alpha = 0.3;              ///< EWMA weight of the newest sample
     double prior_rate = 250.0e3;     ///< bytes/s before any observation
   };
 
+  /// Throws std::invalid_argument for a slots_per_day that Config rejects.
   explicit BandwidthEstimator(Config config);
 
   /// Records an observed effective rate (bytes/s) at time `t`.
@@ -42,6 +45,8 @@ class BandwidthEstimator {
   /// Estimated seconds to move `bytes` starting at time `t`, integrating the
   /// per-slot estimates across slot boundaries (a transfer that straddles
   /// the fast night slots and the slow morning slots gets a blended value).
+  /// The walk covers at most a week of slots, then extrapolates at the
+  /// rate of the slot it stopped at.
   [[nodiscard]] double estimate_transfer_seconds(cbs::sim::SimTime t,
                                                  double bytes) const;
 
