@@ -306,9 +306,8 @@ void CloudBurstController::on_batch(const cbs::workload::Batch& batch) {
       .next_seq = &next_seq_,
       .next_doc_id = &next_doc_id_,
       .ic_machines = config_.topology.ic_machines,
-      .upload_class_backlog_bytes =
-          first_site().upload_queues.backlog_bytes_per_class(),
-      .download_backlog_bytes = first_site().download_queue.total_backlog_bytes(),
+      .upload_queues = &first_site().upload_queues,
+      .download_queue = &first_site().download_queue,
   };
   auto decisions = scheduler_->schedule_batch(batch.documents, ctx);
 

@@ -16,6 +16,8 @@
 
 namespace cbs::core {
 
+class TransferQueueSet;
+
 /// One placement decision produced by a scheduler. After Algorithm-2
 /// chunking, a single arriving document may yield several decisions.
 struct ScheduleDecision {
@@ -46,11 +48,14 @@ class Scheduler {
     std::uint64_t* next_seq;     ///< global FCFS position counter
     std::uint64_t* next_doc_id;  ///< id source for chunk documents
     std::size_t ic_machines = 1; ///< |IC| (Algorithm 3's n)
-    /// Believed upload backlog per size-interval class (Algorithm 3's
-    /// s_up/m_up/l_up); single-queue schedulers see one entry.
-    std::vector<double> upload_class_backlog_bytes;
-    /// Bytes waiting/in flight on the downlink at batch arrival.
-    double download_backlog_bytes = 0.0;
+    /// The EC site's upload queue set (its per-class backlog is Algorithm
+    /// 3's s_up/m_up/l_up) and download queue. The schedulers that read a
+    /// backlog sum it once per batch; most read none, so the controller
+    /// does not. Null (unit tests) reads as an empty queue.
+    // cbs-lint: snapshot-ok(per-batch context, dropped before any fork)
+    const TransferQueueSet* upload_queues = nullptr;
+    // cbs-lint: snapshot-ok(per-batch context, dropped before any fork)
+    const TransferQueueSet* download_queue = nullptr;
   };
 
   virtual ~Scheduler() = default;

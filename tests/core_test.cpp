@@ -191,8 +191,6 @@ struct SchedulerFixture {
         .next_seq = &next_seq,
         .next_doc_id = &next_doc_id,
         .ic_machines = 4,
-        .upload_class_backlog_bytes = {0.0, 0.0, 0.0},
-        .download_backlog_bytes = 0.0,
     };
   }
 };

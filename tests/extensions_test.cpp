@@ -228,8 +228,6 @@ TEST(PositionAwareChunkingTest, TailJobsGetCoarserChunks) {
       .next_seq = &next_seq,
       .next_doc_id = &next_doc,
       .ic_machines = 4,
-      .upload_class_backlog_bytes = {0.0},
-      .download_backlog_bytes = 0.0,
   };
 
   auto make = [](std::uint64_t id, double mb) {
