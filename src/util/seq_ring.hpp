@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-
-#include "util/flat_map.hpp"
+#include <map>
+#include <utility>
 
 namespace cbs::util {
 
@@ -23,8 +23,11 @@ namespace cbs::util {
 /// far from the others would cost memory for the whole gap. The span is
 /// kept within 8 slots per live key (plus 4096): a key that would stretch
 /// it further below the head, and stragglers left at the front as newer
-/// keys arrive, live in a small sorted side table instead.
-/// Iteration is in ascending seq order, like FlatMap.
+/// keys arrive, live in a side table instead. The side table is an ordered
+/// node map: in saturated runs it holds thousands of stragglers that
+/// complete in no particular order, so its erase must be O(log n), not a
+/// sorted vector's O(n) shift. Iteration is in ascending seq order, like
+/// FlatMap, and a copy (a fork) copies plain values.
 template <typename Value>
 class SeqRing {
  public:
@@ -130,7 +133,7 @@ class SeqRing {
   void evict_stragglers() {
     while (slots_.size() > max_span()) {
       if (slots_.front().live) {
-        far_.emplace(base_, slots_.front().value);
+        far_.emplace_hint(far_.end(), base_, std::move(slots_.front().value));
         --ring_live_;
       }
       slots_.pop_front();
@@ -142,7 +145,7 @@ class SeqRing {
   std::deque<Slot> slots_;
   std::uint64_t base_ = 0;  ///< seq of slots_.front()
   std::size_t ring_live_ = 0;
-  FlatMap<std::uint64_t, Value> far_;
+  std::map<std::uint64_t, Value> far_;
 };
 
 }  // namespace cbs::util
