@@ -247,6 +247,16 @@ RunResult ScenarioWorld::result() const {
       controller.ic_cluster().total_busy_time(),
       controller.ic_cluster().machine_count(), ec_busy_time, ec_machines,
       result.oo_series, scenario.oo_tolerance);
+  if (controller.config().elastic_ec.enabled) {
+    // An elastic EC's machine count at the end is not the count it ran
+    // with: divide by the machine-seconds it was provisioned for instead.
+    double provisioned = 0.0;
+    for (std::size_t i = 0; i < controller.site_count(); ++i) {
+      provisioned += controller.site(i).cluster.provisioned_machine_seconds();
+    }
+    result.report.ec_utilization =
+        provisioned > 0.0 ? ec_busy_time / provisioned : 0.0;
+  }
 
   result.tickets =
       cbs::sla::evaluate_tickets(result.outcomes, scenario.ticket_policy);

@@ -132,6 +132,17 @@ TEST(ScenarioCliTest, ElasticFlagConfiguresOverride) {
   EXPECT_TRUE(s.controller_config().elastic_ec.enabled);
 }
 
+TEST(ScenarioCliTest, ElasticEcUtilizationIsAtMostOne) {
+  // The EC grows and shrinks over this run (VM crashes queue work behind
+  // it), so the machine count left at the end is no utilization
+  // denominator: dividing by it read 1.27 here.
+  const RunResult r = run_scenario(cli::scenario_from_args(scenario_args(
+      {"--scheduler", "random", "--bucket", "uniform", "--batches", "30",
+       "--elastic", "--ec-mtbf", "900", "--seed", "1"})));
+  EXPECT_GT(r.report.ec_utilization, 0.0);
+  EXPECT_LE(r.report.ec_utilization, 1.0);
+}
+
 TEST(ScenarioCliTest, HighVarSurvivesElasticOverride) {
   const Scenario s = cli::scenario_from_args(
       scenario_args({"--elastic", "--high-var"}));
