@@ -20,10 +20,6 @@ Logger::Logger(std::string component, LogLevel threshold)
     : component_(std::move(component)), threshold_(threshold) {}
 
 void Logger::emit(LogLevel level, SimTime t, std::string_view msg) {
-  if (sink_) {
-    sink_(level, t, msg);
-    return;
-  }
   std::fprintf(stderr, "%-5s t=%10.2f %.*s\n", to_string(level).data(), t,
                static_cast<int>(msg.size()), msg.data());
 }

@@ -3,8 +3,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
-#include "simcore/callback.hpp"
 #include "simcore/time.hpp"
 
 namespace cbs::sim {
@@ -15,8 +15,7 @@ enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
 
 /// Minimal leveled logger stamped with simulated time.
 ///
-/// The sink is injectable so tests can capture output and benches can mute
-/// it; the default sink writes to stderr. Logging below the threshold costs
+/// Messages go to stderr, one line each. Logging below the threshold costs
 /// one branch — message formatting is skipped entirely.
 ///
 /// Thread-safety: a Logger instance is not internally synchronized — give
@@ -25,13 +24,10 @@ enum class LogLevel { kTrace, kDebug, kInfo, kWarn, kError, kOff };
 /// threads is safe.
 class Logger {
  public:
-  using Sink = UniqueFunction<void(LogLevel, SimTime, std::string_view)>;
-
   explicit Logger(std::string component, LogLevel threshold = LogLevel::kWarn);
 
   void set_threshold(LogLevel level) noexcept { threshold_ = level; }
   [[nodiscard]] LogLevel threshold() const noexcept { return threshold_; }
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
 
   [[nodiscard]] bool enabled(LogLevel level) const noexcept {
     return level >= threshold_ && threshold_ != LogLevel::kOff;
@@ -64,7 +60,6 @@ class Logger {
 
   std::string component_;
   LogLevel threshold_;
-  Sink sink_;
 };
 
 }  // namespace cbs::sim
