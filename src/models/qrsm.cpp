@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
@@ -17,6 +18,11 @@ using cbs::linalg::simd::V2;
 namespace {
 
 constexpr std::size_t kDim = kQuadraticDim;
+/// Rows a refit needs: modest oversampling before trusting a quadratic
+/// surface.
+constexpr std::size_t kMinFitRows = kDim + kDim / 4;
+/// Entries of S's upper triangle, diagonal included.
+constexpr std::size_t kPackedDim = kDim * (kDim + 1) / 2;
 
 /// One row of the sparse affine map T with φ(αu + β) = T·φ(u): at most
 /// four nonzero coefficients (a product term expands into the product, two
@@ -81,6 +87,107 @@ double dot_row(const std::array<double, kDim>& row, const Vector& coef) {
 
 }  // namespace
 
+/// One stored refit. The key is the state id at the previous refit and the
+/// rows observed since; the value is everything the refit wrote, with S
+/// packed to its upper triangle (below it is scratch).
+struct QrsmModel::RefitEntry {
+  std::uint64_t parent;
+  std::size_t rows;
+  std::array<Example, kMemoKeyRows> observed;
+
+  std::uint64_t child;
+  FeatureScaler scaler;
+  FeatureScaler frame;
+  double mean_runtime;
+  bool has_frame;
+  std::size_t rows_at_rebuild;
+  std::size_t updates_since_rebuild;
+  std::array<double, kPackedDim> s;
+  std::array<double, kStride> b;
+  std::array<double, kDim> coefficients;
+  double r_squared;
+  double rmse;
+  double mape;
+  bool used_qr_fallback;
+  bool quality_pending;
+  std::size_t quality_rows;
+};
+
+/// The refit table a model shares with its copies: kMemoCapacity entries
+/// allocated once, replaced oldest first. Keys are compared with memcmp,
+/// so a hit is the same state fed the same rows bit for bit, never a hash
+/// match.
+class QrsmModel::RefitMemo {
+ public:
+  // Not zeroed: find() reads only entries insert() has written.
+  RefitMemo()
+      : entries_(std::make_unique_for_overwrite<RefitEntry[]>(kMemoCapacity)) {}
+
+  /// The entry for `parent` fed the last `rows` rows of `buffer`, if any.
+  [[nodiscard]] const RefitEntry* find(std::uint64_t parent,
+                                       const std::deque<Example>& buffer,
+                                       std::size_t rows) const {
+    static_assert(sizeof(Example) == (kNumRawFeatures + 1) * sizeof(double),
+                  "memcmp compares an Example's doubles and nothing else");
+    const std::size_t first = buffer.size() - rows;
+    for (std::size_t i = 0; i < used_; ++i) {
+      const RefitEntry& e = entries_[i];
+      if (e.parent != parent || e.rows != rows) continue;
+      std::size_t k = 0;
+      while (k < rows && std::memcmp(&e.observed[k], &buffer[first + k],
+                                     sizeof(Example)) == 0) {
+        ++k;
+      }
+      if (k == rows) return &e;
+    }
+    return nullptr;
+  }
+
+  /// Overwrites the oldest entry with the key, and a new id for the state
+  /// the refit left; the caller fills in the value.
+  RefitEntry& insert(std::uint64_t parent, const std::deque<Example>& buffer,
+                     std::size_t rows) {
+    RefitEntry& e = entries_[next_];
+    next_ = (next_ + 1) % kMemoCapacity;
+    used_ = std::min(used_ + 1, kMemoCapacity);
+    e.parent = parent;
+    e.rows = rows;
+    std::copy(buffer.end() - static_cast<std::ptrdiff_t>(rows), buffer.end(),
+              e.observed.begin());
+    e.child = fresh_state();
+    return e;
+  }
+
+  [[nodiscard]] std::uint64_t fresh_state() noexcept { return next_state_++; }
+  [[nodiscard]] std::size_t entries() const noexcept { return used_; }
+
+  std::size_t lookups = 0;
+  std::size_t hits = 0;
+
+ private:
+  std::unique_ptr<RefitEntry[]> entries_;
+  std::size_t used_ = 0;
+  std::size_t next_ = 0;  ///< the oldest entry once the table is full
+  std::uint64_t next_state_ = 1;
+};
+
+std::shared_ptr<QrsmModel::RefitMemo> QrsmModel::MemoLink::shared() const {
+  if (!memo && state != 0) {
+    memo = std::make_shared<RefitMemo>();
+    state = memo->fresh_state();
+  }
+  return memo;
+}
+
+void QrsmModel::MemoLink::advance() {
+  state = memo ? memo->fresh_state() : 1;
+}
+
+QrsmModel::MemoStats QrsmModel::memo_stats() const noexcept {
+  if (!link_.memo) return {};
+  return {link_.memo->entries(), link_.memo->lookups, link_.memo->hits};
+}
+
 QrsmModel::QrsmModel(Config config) : config_(config) {
   assert(config.ridge_lambda >= 0.0);
   assert(config.refit_interval > 0);
@@ -102,7 +209,8 @@ void QrsmModel::fit(const std::vector<cbs::workload::DocumentFeatures>& features
   }
   total_observed_ += features.size();
   since_refit_ = 0;
-  refit();
+  if (buffered() >= kMinFitRows) refit_window();
+  link_.advance();  // a new window, so no key leads here
 }
 
 void QrsmModel::observe(const cbs::workload::DocumentFeatures& features,
@@ -252,15 +360,43 @@ cbs::linalg::FitResult QrsmModel::fit_from_design_matrix() const {
 }
 
 void QrsmModel::refit() {
+  const std::size_t rows = since_refit_;
   since_refit_ = 0;
-  // Require modest oversampling before trusting a quadratic surface.
   // (A quality is pending only after a refit that had enough rows, and
   // the window never shrinks between refits, so nothing is kept here;
   // nor is anything pending before the first refit that has enough rows.)
-  if (buffered() < kDim + kDim / 4) return;
-  assert(has_frame_ || pending_count_ == 0);
+  if (buffered() < kMinFitRows) {
+    link_.advance();
+    return;
+  }
   drop_retired();  // the previous fit's quality, if still pending, is moot
 
+  // The state at the previous refit fed the last `rows` rows of the
+  // window (a window that fits holds more rows than a key): a key the
+  // table may hold.
+  static_assert(kMemoKeyRows <= kMinFitRows);
+  RefitMemo* memo = link_.memo.get();
+  if (memo == nullptr || rows > kMemoKeyRows) {
+    refit_window();
+    link_.advance();
+    return;
+  }
+  ++memo->lookups;
+  if (const RefitEntry* hit = memo->find(link_.state, buffer_, rows)) {
+    ++memo->hits;
+    restore_refit(*hit);
+    link_.state = hit->child;
+    return;
+  }
+  refit_window();
+  RefitEntry& stored = memo->insert(link_.state, buffer_, rows);
+  save_refit(stored);
+  link_.state = stored.child;
+}
+
+void QrsmModel::refit_window() {
+  assert(buffered() >= kMinFitRows && retired_ == 0);
+  assert(has_frame_ || pending_count_ == 0);
   double runtime_sum = 0.0;
   scaler_ = FeatureScaler::fit(
       buffer_, [](const Example& ex) -> const Raw& { return ex.raw; },
@@ -288,6 +424,54 @@ void QrsmModel::refit() {
   fit_->used_qr_fallback = false;
   quality_pending_ = true;
   quality_rows_ = buffer_.size();
+}
+
+void QrsmModel::save_refit(RefitEntry& e) const {
+  e.scaler = scaler_;
+  e.frame = frame_;
+  e.mean_runtime = mean_runtime_;
+  e.has_frame = has_frame_;
+  e.rows_at_rebuild = rows_at_rebuild_;
+  e.updates_since_rebuild = updates_since_rebuild_;
+  std::size_t k = 0;
+  for (std::size_t a = 0; a < kDim; ++a) {
+    for (std::size_t b = a; b < kDim; ++b) e.s[k++] = xtx_[a * kStride + b];
+  }
+  e.b = xty_;
+  assert(fit_->coefficients.size() == kDim);
+  std::copy(fit_->coefficients.begin(), fit_->coefficients.end(),
+            e.coefficients.begin());
+  e.r_squared = fit_->r_squared;
+  e.rmse = fit_->rmse;
+  e.mape = fit_->mape;
+  e.used_qr_fallback = fit_->used_qr_fallback;
+  e.quality_pending = quality_pending_;
+  e.quality_rows = quality_rows_;
+}
+
+void QrsmModel::restore_refit(const RefitEntry& e) {
+  scaler_ = e.scaler;
+  frame_ = e.frame;
+  mean_runtime_ = e.mean_runtime;
+  has_frame_ = e.has_frame;
+  rows_at_rebuild_ = e.rows_at_rebuild;
+  updates_since_rebuild_ = e.updates_since_rebuild;
+  pending_count_ = 0;  // folded, or dropped by a rebuild
+  // Below the diagonal is scratch, and the padding is zero in both.
+  std::size_t k = 0;
+  for (std::size_t a = 0; a < kDim; ++a) {
+    for (std::size_t b = a; b < kDim; ++b) xtx_[a * kStride + b] = e.s[k++];
+  }
+  xty_ = e.b;
+  // Reuses the coefficient storage, as a refit does: no allocation.
+  if (!fit_) fit_.emplace();
+  fit_->coefficients.assign(e.coefficients.begin(), e.coefficients.end());
+  fit_->r_squared = e.r_squared;
+  fit_->rmse = e.rmse;
+  fit_->mape = e.mape;
+  fit_->used_qr_fallback = e.used_qr_fallback;
+  quality_pending_ = e.quality_pending;
+  quality_rows_ = e.quality_rows;
 }
 
 const std::optional<cbs::linalg::FitResult>& QrsmModel::last_fit() const {

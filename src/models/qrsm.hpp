@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -46,6 +48,16 @@ namespace cbs::models {
 /// order. Rows evicted while it is pending stay stored (behind the live
 /// window) until it is computed or the next refit supersedes it: at most
 /// `refit_interval` extra rows.
+///
+/// Copies share refits (DESIGN.md §9, "Forks share QRSM refits"). Every
+/// state a refit (or fit()) leaves gets an id, and a model and all its
+/// copies share a small table of refits keyed by the id at the previous
+/// refit and the exact bits of every row observed since. A refit whose key
+/// is in the table copies the stored outputs instead of recomputing them:
+/// the same state fed the same rows, so the same bits. The table holds
+/// kMemoCapacity refits in storage allocated once, when a model that has
+/// refit is first copied; a model never copied has none. Copies that share
+/// a table must stay on one thread.
 class QrsmModel {
  public:
   struct Config {
@@ -101,6 +113,17 @@ class QrsmModel {
   /// Forces a refit on the current buffer (no-op when data is insufficient).
   void refit();
 
+  /// Refits stored in a shared table; the oldest is replaced first.
+  static constexpr std::size_t kMemoCapacity = 16;
+  /// The refit table this model shares with its copies (all zero while it
+  /// has none). Counts are over every model sharing the table.
+  struct MemoStats {
+    std::size_t entries = 0;  ///< refits stored, at most kMemoCapacity
+    std::size_t lookups = 0;  ///< refits that looked for a stored one
+    std::size_t hits = 0;     ///< lookups that found one
+  };
+  [[nodiscard]] MemoStats memo_stats() const noexcept;
+
  private:
   struct Example {
     std::array<double, kNumRawFeatures> raw;
@@ -117,6 +140,38 @@ class QrsmModel {
   /// four, the Gram kernel's block width (the padding stays zero).
   static constexpr std::size_t kStride = (kQuadraticDim + 3) / 4 * 4;
 
+  /// Most observations since the previous refit that a table key holds; a
+  /// refit after more neither looks up nor stores.
+  static constexpr std::size_t kMemoKeyRows = 32;
+  struct RefitEntry;
+  class RefitMemo;
+  /// This model's state id and the refit table it shares. Copying a link
+  /// (a fork) shares the source's table, first creating it — and giving
+  /// the source's state an id in it — when the source has refit but has
+  /// no table yet. Hence the mutable members: a copy writes its source.
+  struct MemoLink {
+    MemoLink() = default;
+    // `memo` is declared first, so shared() has given `state` its id in
+    // the table before it is read.
+    MemoLink(const MemoLink& other)
+        : memo(other.shared()), state(other.state) {}
+    MemoLink& operator=(const MemoLink& other) {
+      memo = other.shared();
+      state = other.state;
+      return *this;
+    }
+    MemoLink(MemoLink&&) noexcept = default;
+    MemoLink& operator=(MemoLink&&) noexcept = default;
+
+    /// The table, created first when the state has refit but has none.
+    [[nodiscard]] std::shared_ptr<RefitMemo> shared() const;
+    /// Moves to a state no key has seen (a fit, or a refit not stored).
+    void advance();
+
+    mutable std::shared_ptr<RefitMemo> memo;
+    mutable std::uint64_t state = 0;  ///< 0 until the first refit
+  };
+
   /// Records a signed row for the next fold (folding first if full).
   void record_pending(const Example& ex, double sign);
   /// Folds `count` signed rows, row_at(k) for k = 0, 1, …, into the
@@ -125,6 +180,11 @@ class QrsmModel {
   void fold(std::size_t count, RowAt row_at);
   /// Folds the pending rows into the statistics, in recording order.
   void fold_pending();
+  /// The refit proper, on a window of enough rows with nothing retired.
+  void refit_window();
+  /// Copies what a refit wrote into a table entry's value, and back.
+  void save_refit(RefitEntry& e) const;
+  void restore_refit(const RefitEntry& e);
   /// Recomputes the statistics exactly from the buffer in the frame of
   /// `scaler_`, which becomes the new reference frame; pending rows are
   /// dropped.
@@ -172,6 +232,7 @@ class QrsmModel {
   /// cache line (alignas up to max_align_t keeps plain operator new).
   alignas(16) std::array<double, kStride * kStride> xtx_{};
   std::array<double, kStride> xty_{};
+  MemoLink link_;
 };
 
 }  // namespace cbs::models

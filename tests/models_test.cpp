@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <deque>
 #include <new>
 #include <utility>
@@ -830,6 +834,272 @@ TEST(QrsmDeferredFoldTest, RefitAllocatesNothing) {
   QrsmModel copy;
   EXPECT_GT(allocations_in([&] { copy = model; }), 0U) << "a copy (fork) does";
   EXPECT_EQ(copy.last_fit()->coefficients, model.last_fit()->coefficients);
+
+  // After the copy both share a refit table: the first of them to refit on
+  // the same rows stores the refit, the second reuses it, and a refit on
+  // other rows stores another. None of the three allocates.
+  std::vector<std::pair<DocumentFeatures, double>> rows;
+  for (int i = 0; i < 20; ++i) rows.push_back(stream.next());
+  for (std::size_t i = 0; i < 10; ++i) {
+    model.observe(rows[i].first, rows[i].second);
+    copy.observe(rows[i].first, rows[i].second);
+  }
+  EXPECT_EQ(allocations_in([&] { model.refit(); }), 0U) << "a miss";
+  EXPECT_EQ(allocations_in([&] { copy.refit(); }), 0U) << "a hit";
+  EXPECT_EQ(copy.memo_stats().hits, 1U);
+  for (std::size_t i = 10; i < 20; ++i) {
+    copy.observe(rows[i].first, rows[i].second);
+  }
+  EXPECT_EQ(allocations_in([&] { copy.refit(); }), 0U) << "a miss after a copy";
+  EXPECT_EQ(copy.memo_stats().lookups, 3U);
+  EXPECT_EQ(copy.memo_stats().hits, 1U);
+}
+
+// ---- QrsmModel: refits shared by forks -------------------------------------
+
+using Row = std::pair<DocumentFeatures, double>;
+
+std::vector<Row> draw_rows(QrsmStream& stream, std::size_t n) {
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < n; ++i) rows.push_back(stream.next());
+  return rows;
+}
+
+/// Each prediction's bits, so equal means bit-identical (−0 ≠ +0).
+std::vector<std::uint64_t> prediction_bits(
+    const QrsmModel& model, const std::vector<DocumentFeatures>& probes) {
+  std::vector<std::uint64_t> bits;
+  for (const auto& p : probes) {
+    bits.push_back(std::bit_cast<std::uint64_t>(model.predict(p)));
+  }
+  return bits;
+}
+
+/// memcmp of two models' coefficients and of their predictions' bits.
+void expect_bit_identical(const QrsmModel& a, const QrsmModel& b,
+                          const std::vector<DocumentFeatures>& probes,
+                          const std::string& what) {
+  ASSERT_TRUE(a.last_fit().has_value()) << what;
+  ASSERT_TRUE(b.last_fit().has_value()) << what;
+  const auto& ca = a.last_fit()->coefficients;
+  const auto& cb = b.last_fit()->coefficients;
+  ASSERT_EQ(ca.size(), cb.size()) << what;
+  EXPECT_EQ(std::memcmp(ca.data(), cb.data(), ca.size() * sizeof(double)), 0)
+      << what;
+  EXPECT_EQ(prediction_bits(a, probes), prediction_bits(b, probes)) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.last_fit()->r_squared),
+            std::bit_cast<std::uint64_t>(b.last_fit()->r_squared))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.last_fit()->mape),
+            std::bit_cast<std::uint64_t>(b.last_fit()->mape))
+      << what;
+}
+
+TEST(QrsmRefitMemoTest, HitEqualsAFreshRefit) {
+  // `forked` shares a table with `model`, and for 60 observations refits
+  // only after `model` has refit on the same rows: its refits at 256 (a
+  // rebuild: the 512-row window is filling and has doubled) and at 288 (a
+  // fold) are hits. `fresh` is never copied and recomputes every refit.
+  // Then `model` stops and `forked` goes on alone for 500 observations:
+  // its refit at 320 folds into the statistics, frame and rebuild count
+  // the hits restored.
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 512};
+  QrsmStream stream;
+  const std::vector<Row> head = draw_rows(stream, 240);
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 100; ++i) probes.push_back(stream.next().first);
+  const std::vector<Row> shared = draw_rows(stream, 60);
+  const std::vector<Row> alone = draw_rows(stream, 500);
+
+  QrsmModel model(cfg);
+  QrsmModel fresh(cfg);
+  for (const auto& [f, y] : head) {
+    model.observe(f, y);
+    fresh.observe(f, y);
+  }
+  QrsmModel forked = model;
+  for (const auto& [f, y] : shared) {
+    model.observe(f, y);
+    forked.observe(f, y);
+    fresh.observe(f, y);
+    if (forked.observations() == 256) {
+      expect_bit_identical(forked, fresh, probes, "the rebuild hit");
+    }
+  }
+  EXPECT_EQ(forked.memo_stats().lookups, 4U) << "2 refits each";
+  EXPECT_EQ(forked.memo_stats().hits, 2U);
+  EXPECT_EQ(fresh.memo_stats().lookups, 0U) << "never copied: no table";
+  expect_bit_identical(forked, fresh, probes, "the fold hit");
+  expect_bit_identical(model, fresh, probes, "the fold miss");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(forked.last_fit()->rmse),
+            std::bit_cast<std::uint64_t>(fresh.last_fit()->rmse));
+
+  for (const auto& [f, y] : alone) {
+    forked.observe(f, y);
+    fresh.observe(f, y);
+    if (forked.observations() == 320) {
+      expect_bit_identical(forked, fresh, probes, "a fold after the hits");
+    }
+  }
+  EXPECT_EQ(forked.memo_stats().hits, 2U) << "no hits alone";
+  expect_bit_identical(forked, fresh, probes, "500 observations on");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(forked.last_fit()->rmse),
+            std::bit_cast<std::uint64_t>(fresh.last_fit()->rmse));
+}
+
+TEST(QrsmRefitMemoTest, ARowDifferingInItsLastBitMisses) {
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmStream stream;
+  const std::vector<Row> head = draw_rows(stream, 300);
+  std::vector<Row> next = draw_rows(stream, 20);  // 300 + 20 reaches a refit
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 100; ++i) probes.push_back(stream.next().first);
+
+  QrsmModel model(cfg);
+  QrsmModel fresh(cfg);
+  for (const auto& [f, y] : head) {
+    model.observe(f, y);
+    fresh.observe(f, y);
+  }
+  QrsmModel forked = model;
+  for (const auto& [f, y] : next) model.observe(f, y);
+  ASSERT_EQ(model.memo_stats().lookups, 1U);
+  next.back().second = std::nextafter(next.back().second,
+                                      std::numeric_limits<double>::infinity());
+  for (const auto& [f, y] : next) {
+    forked.observe(f, y);
+    fresh.observe(f, y);
+  }
+  EXPECT_EQ(forked.memo_stats().lookups, 2U);
+  EXPECT_EQ(forked.memo_stats().hits, 0U);
+  EXPECT_EQ(forked.memo_stats().entries, 2U);
+  expect_bit_identical(forked, fresh, probes, "the differing row's refit");
+}
+
+TEST(QrsmRefitMemoTest, IndependentModelsNeverShareATable) {
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmStream stream;
+  const std::vector<Row> head = draw_rows(stream, 300);
+  const std::vector<Row> next = draw_rows(stream, 20);
+  QrsmModel a(cfg);
+  QrsmModel b(cfg);
+  for (const auto& [f, y] : head) {
+    a.observe(f, y);
+    b.observe(f, y);
+  }
+  EXPECT_EQ(a.memo_stats().entries + a.memo_stats().lookups, 0U)
+      << "a model never copied has no table";
+  const QrsmModel a_copy = a;
+  const QrsmModel b_copy = b;
+  for (const auto& [f, y] : next) a.observe(f, y);
+  for (const auto& [f, y] : next) b.observe(f, y);
+  // Same history, but b's refit found nothing: a's table is not b's.
+  EXPECT_EQ(a.memo_stats().lookups, 1U);
+  EXPECT_EQ(b.memo_stats().lookups, 1U);
+  EXPECT_EQ(b.memo_stats().hits, 0U);
+  EXPECT_EQ(a_copy.memo_stats().lookups, 1U) << "a copy shares its source's";
+
+  // A copy taken before the first refit has nothing to share yet.
+  QrsmModel blank(cfg);
+  QrsmModel blank_copy = blank;
+  for (const auto& [f, y] : head) {
+    blank.observe(f, y);
+    blank_copy.observe(f, y);
+  }
+  EXPECT_EQ(blank.memo_stats().lookups + blank_copy.memo_stats().lookups, 0U);
+}
+
+TEST(QrsmRefitMemoTest, FitStartsANewState) {
+  // The copy is taken just after a refit, so it and the original key their
+  // next refits on the same 32 rows; but fit() replaced the original's
+  // window, so the copy's stored refit is not the original's.
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmStream stream;
+  const std::vector<Row> head = draw_rows(stream, 320);
+  const std::vector<Row> corpus = draw_rows(stream, 100);
+  const std::vector<Row> next = draw_rows(stream, 32);
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 100; ++i) probes.push_back(stream.next().first);
+  std::vector<DocumentFeatures> feats;
+  std::vector<double> ys;
+  for (const auto& [f, y] : corpus) {
+    feats.push_back(f);
+    ys.push_back(y);
+  }
+
+  QrsmModel model(cfg);
+  for (const auto& [f, y] : head) model.observe(f, y);  // refits at 320
+  QrsmModel copy = model;
+  model.fit(feats, ys);
+  QrsmModel fresh(cfg);
+  fresh.fit(feats, ys);
+  for (const auto& [f, y] : next) copy.observe(f, y);
+  for (const auto& [f, y] : next) model.observe(f, y);
+  for (const auto& [f, y] : next) fresh.observe(f, y);
+  EXPECT_EQ(model.memo_stats().lookups, 2U);
+  EXPECT_EQ(model.memo_stats().hits, 0U);
+  expect_bit_identical(model, fresh, probes, "refit after fit()");
+}
+
+TEST(QrsmRefitMemoTest, AnEarlyRefitStillAdvancesTheState) {
+  // After fit() on 10 rows, the refit 32 observations later has too few
+  // rows and returns early. Two copies that saw different rows before it
+  // and the same rows after it are in different states at the next refit.
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmStream stream;
+  std::vector<DocumentFeatures> feats;
+  std::vector<double> ys;
+  for (const auto& [f, y] : draw_rows(stream, 10)) {
+    feats.push_back(f);
+    ys.push_back(y);
+  }
+  const std::vector<Row> first_a = draw_rows(stream, 32);
+  const std::vector<Row> first_b = draw_rows(stream, 32);
+  const std::vector<Row> same = draw_rows(stream, 32);
+  std::vector<DocumentFeatures> probes;
+  for (int i = 0; i < 100; ++i) probes.push_back(stream.next().first);
+
+  QrsmModel a(cfg);
+  for (const auto& [f, y] : draw_rows(stream, 100)) a.observe(f, y);
+  const QrsmModel source = a;  // gives `a` a table
+  a.fit(feats, ys);
+  QrsmModel b = a;
+  QrsmModel fresh(cfg);
+  fresh.fit(feats, ys);
+  for (const auto& [f, y] : first_a) a.observe(f, y);
+  for (const auto& [f, y] : first_b) b.observe(f, y);
+  for (const auto& [f, y] : first_b) fresh.observe(f, y);
+  ASSERT_EQ(b.buffered(), 42U) << "too few rows: the refit returned early";
+  for (const auto& [f, y] : same) a.observe(f, y);
+  for (const auto& [f, y] : same) b.observe(f, y);
+  for (const auto& [f, y] : same) fresh.observe(f, y);
+  EXPECT_EQ(b.memo_stats().lookups, 2U);
+  EXPECT_EQ(b.memo_stats().hits, 0U);
+  expect_bit_identical(b, fresh, probes, "b after its own rows");
+}
+
+TEST(QrsmRefitMemoTest, TableStaysAtItsCapacityAfterManyForks) {
+  const QrsmModel::Config cfg{.refit_interval = 32, .window = 256};
+  QrsmStream stream;
+  QrsmModel parent(cfg);
+  for (const auto& [f, y] : draw_rows(stream, 300)) parent.observe(f, y);
+  const std::vector<Row> next = draw_rows(stream, 20);
+  for (std::size_t fork = 0; fork < 4 * QrsmModel::kMemoCapacity; ++fork) {
+    QrsmModel rollout = parent;
+    for (const auto& [f, y] : draw_rows(stream, 20)) rollout.observe(f, y);
+    EXPECT_LE(parent.memo_stats().entries, QrsmModel::kMemoCapacity);
+  }
+  EXPECT_EQ(parent.memo_stats().entries, QrsmModel::kMemoCapacity);
+  EXPECT_EQ(parent.memo_stats().lookups, 4 * QrsmModel::kMemoCapacity);
+  EXPECT_EQ(parent.memo_stats().hits, 0U);
+  // The oldest entries went first: the parent's own next refit still
+  // works, and a fork replaying it finds the stored refit.
+  QrsmModel replay = parent;
+  for (const auto& [f, y] : next) parent.observe(f, y);
+  for (const auto& [f, y] : next) replay.observe(f, y);
+  EXPECT_EQ(parent.memo_stats().hits, 1U);
+  EXPECT_EQ(parent.memo_stats().entries, QrsmModel::kMemoCapacity);
+  EXPECT_EQ(replay.last_fit()->coefficients, parent.last_fit()->coefficients);
 }
 
 TEST(QrsmIncrementalTest, PerClassEstimatorTracksReferencePerClass) {
