@@ -183,6 +183,11 @@ struct ControllerConfig {
   /// Concurrent uploads when a single upload queue is used; the
   /// size-interval scheduler uses one slot per interval queue instead.
   int single_queue_upload_slots = 1;
+  /// Some batches are admitted under bandwidth-split although `scheduler`
+  /// is not: a lookahead run whose candidates include it. Derived, not a
+  /// setting: harness::Scenario::controller_config() writes it. The upload
+  /// stage then has bandwidth-split's size-interval queues from the start.
+  bool admits_bandwidth_split = false;
   int download_slots = 1;
 
   /// Record every job's pipeline-stage transitions (Fig. 5 observability);

@@ -12,6 +12,13 @@ cbs::sim::RngStream link_stream(const cbs::sim::RngStream& rng,
   return index == 0 ? stream : stream.substream(index);
 }
 
+/// Bandwidth-split's size-interval upload queues (one slot each), or one
+/// queue for every other scheduler.
+bool size_interval_uploads(const ControllerConfig& config) {
+  return config.scheduler == SchedulerKind::kBandwidthSplit ||
+         config.admits_bandwidth_split;
+}
+
 }  // namespace
 
 EcSite::EcSite(cbs::sim::Simulation& sim, const ControllerConfig& config,
@@ -29,10 +36,10 @@ EcSite::EcSite(cbs::sim::Simulation& sim, const ControllerConfig& config,
       up_tuner(config.thread_tuner),
       down_tuner(config.thread_tuner),
       upload_queues(sim, uplink, up_tuner,
-                    config.scheduler == SchedulerKind::kBandwidthSplit
+                    size_interval_uploads(config)
                         ? config.params.size_interval_queues
                         : 1,
-                    config.scheduler == SchedulerKind::kBandwidthSplit
+                    size_interval_uploads(config)
                         ? 1
                         : config.single_queue_upload_slots),
       download_queue(sim, downlink, down_tuner, 1, config.download_slots) {}

@@ -1,7 +1,10 @@
 #include "harness/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+
+#include "harness/world.hpp"
 
 namespace cbs::harness {
 
@@ -19,6 +22,14 @@ cbs::core::ControllerConfig Scenario::controller_config() const {
     }
   }
   cfg.scheduler = scheduler;
+  if (scheduler == cbs::core::SchedulerKind::kLookahead) {
+    const auto& order = LookaheadController::candidate_order();
+    const auto end = order.begin() + static_cast<std::ptrdiff_t>(
+        LookaheadController::candidate_count(lookahead_candidates));
+    cfg.admits_bandwidth_split =
+        std::find(order.begin(), end,
+                  cbs::core::SchedulerKind::kBandwidthSplit) != end;
+  }
   cfg.estimator = estimator;
   cfg.enable_rescheduler = enable_rescheduler;
   if (faults.enabled()) cfg.faults = faults;

@@ -54,7 +54,8 @@ struct Scenario {
   // rolled `lookahead_horizon_seconds` forward, and the batch is committed
   // under the best-scoring candidate. The candidate list is a fixed
   // priority order (order-preserving, greedy, ic-only, bandwidth-split,
-  // random) truncated to `lookahead_candidates`.
+  // random) truncated to `lookahead_candidates`; when bandwidth-split is
+  // among them, the run has its size-interval upload queues.
   double lookahead_horizon_seconds = 900.0;
   int lookahead_candidates = 3;
 

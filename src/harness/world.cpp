@@ -287,13 +287,16 @@ LookaheadController::candidate_order() {
   return kOrder;
 }
 
+std::size_t LookaheadController::candidate_count(int candidates) {
+  return std::min(candidate_order().size(),
+                  static_cast<std::size_t>(std::max(1, candidates)));
+}
+
 LookaheadController::Decision LookaheadController::decide(
     const ScenarioWorld& parent, const cbs::workload::Batch& batch,
     const RolloutObserver& observe) const {
   const auto& order = candidate_order();
-  const std::size_t count = std::min(
-      order.size(),
-      static_cast<std::size_t>(std::max(1, config_.candidates)));
+  const std::size_t count = candidate_count(config_.candidates);
 
   // Bring the parent's tally up to date once, so that each rollout tallies
   // only the outcomes it finishes itself.

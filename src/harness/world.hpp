@@ -62,6 +62,9 @@ class LookaheadController {
   /// bandwidth-split, random.
   [[nodiscard]] static const std::vector<cbs::core::SchedulerKind>&
   candidate_order();
+  /// How many of candidate_order() a run with `candidates` evaluates: the
+  /// first `candidates` of them, and at least one.
+  [[nodiscard]] static std::size_t candidate_count(int candidates);
 
   /// Called once per candidate rollout, after it is rolled forward and
   /// scored: the imagined future behind each candidate's score.
