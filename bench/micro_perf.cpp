@@ -426,26 +426,65 @@ BENCHMARK_CAPTURE(BM_SnapshotForkAt, early, std::size_t{10})
 BENCHMARK_CAPTURE(BM_SnapshotForkAt, late, std::size_t{190})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_LookaheadDecision(benchmark::State& state) {
+/// The refit table a world's QRSM shares with the world's forks.
+cbs::models::QrsmModel::MemoStats memo_stats(
+    const cbs::harness::ScenarioWorld& world) {
+  const auto* qrsm = dynamic_cast<const cbs::models::QrsmEstimator*>(
+      &world.controller().service_estimator());
+  return qrsm != nullptr ? qrsm->model().memo_stats()
+                         : cbs::models::QrsmModel::MemoStats{};
+}
+
+void BM_LookaheadDecision(benchmark::State& state, bool warm) {
   // One full model-predictive decision: fork the world once per candidate,
-  // inject the batch, roll each fork 900 s forward and score it.
+  // inject the batch, roll each fork 900 s forward and score it. The forks
+  // share the parent's QRSM refit table, so a second decision on the same
+  // parent reuses every refit the first one stored. `cold` decides on a
+  // freshly built world each iteration (built untimed), as a parent's
+  // first decision does; `warm` decides on one world again and again, so
+  // every refit after the first iteration is a hit. memo_hit_rate is the
+  // share of rollout refits found in the table.
   auto scenario = cbs::harness::make_scenario(
       cbs::core::SchedulerKind::kOrderPreserving,
       cbs::workload::SizeBucket::kUniform, 42);
   scenario.num_batches = 4;
-  cbs::harness::ScenarioWorld world(scenario);
-  world.run_until(350.0);
+  const auto build = [&scenario] {
+    auto world = std::make_unique<cbs::harness::ScenarioWorld>(scenario);
+    world->run_until(350.0);
+    return world;
+  };
   cbs::harness::LookaheadController::Config cfg;
   cfg.horizon_seconds = 900.0;
   cfg.candidates = 3;
   const cbs::harness::LookaheadController lookahead(cfg);
-  const auto& batch = world.batches()[2];  // arrives at t=360, still pending
+  std::unique_ptr<cbs::harness::ScenarioWorld> world = build();
+  std::size_t lookups = 0;
+  std::size_t hits = 0;
+  const auto tally = [&] {
+    const cbs::models::QrsmModel::MemoStats stats = memo_stats(*world);
+    lookups += stats.lookups;
+    hits += stats.hits;
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lookahead.decide(world, batch));
+    if (!warm) {
+      state.PauseTiming();
+      tally();
+      world = build();
+      state.ResumeTiming();
+    }
+    // Batch 2 arrives at t=360, still pending.
+    benchmark::DoNotOptimize(lookahead.decide(*world, world->batches()[2]));
   }
+  tally();
+  state.counters["memo_hit_rate"] =
+      lookups == 0 ? 0.0
+                   : static_cast<double>(hits) / static_cast<double>(lookups);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_LookaheadDecision)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LookaheadDecision, cold, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LookaheadDecision, warm, true)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelPlan(benchmark::State& state) {
   // The parallel experiment runner on a 6-cell plan (3 seeds x 2

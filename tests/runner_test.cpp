@@ -113,6 +113,35 @@ TEST(RunnerTest, IdenticalResultsAtAnyThreadCount) {
   }
 }
 
+// Lookahead cells fork their world once per candidate per batch, and the
+// forks share their parent's QRSM refit table. Every cell builds its own
+// world, so no table crosses a thread: under TSan this case checks that.
+TEST(RunnerTest, LookaheadCellsOnTwoThreadsMatchOneThread) {
+  harness::Scenario base;
+  base.num_batches = 8;
+  const harness::ExperimentPlan plan = harness::ExperimentPlan::grid(
+      {42, 7, 1337, 5}, {SchedulerKind::kLookahead}, {SizeBucket::kUniform},
+      base);
+  harness::RunnerOptions one;
+  one.threads = 1;
+  harness::RunnerOptions two;
+  two.threads = 2;
+  const auto r1 = harness::run_plan(plan, one);
+  const auto r2 = harness::run_plan(plan, two);
+  ASSERT_EQ(harness::failed_cells(r1), 0u);
+  ASSERT_EQ(harness::failed_cells(r2), 0u);
+  ASSERT_EQ(r2.size(), r1.size());
+  for (std::size_t i = 0; i < r1.size(); ++i) {
+    const auto& a = *r1[i].result;
+    const auto& b = *r2[i].result;
+    EXPECT_EQ(a.outcomes.size(), b.outcomes.size());
+    EXPECT_EQ(a.events_processed, b.events_processed);
+    EXPECT_EQ(a.report.makespan_seconds, b.report.makespan_seconds);
+    EXPECT_EQ(a.cost.cloud_total(), b.cost.cloud_total());
+    EXPECT_EQ(a.qrsm_r_squared, b.qrsm_r_squared);
+  }
+}
+
 // A throwing cell must surface as a failed CellResult with the exception
 // text, while its siblings complete normally.
 TEST(RunnerTest, ThrowingCellDoesNotAbortSiblings) {
